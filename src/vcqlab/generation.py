@@ -2,8 +2,11 @@
 with size-aware classifier-free guidance.
 
 The model stores exact prefix -> next-token counts up to a maximum context
-order, per class and pooled over classes.  Logits are base-2 log
-probabilities of the back-off smoothed distribution
+order, per class and pooled over classes, as arrays: for each position and
+order, the sorted keys of the contexts seen in training and, per scope
+(class or pooled), CSR ranges of (token, count) pairs with per-context
+totals (see ``CountTable``).  Logits are base-2 log probabilities of the
+back-off smoothed distribution
 
     P0(x)   = (C0(x) + a) / (N0 + a * K_t)            position-t unigram
     Po(x)   = (Co(ctx, x) + a * P(o-1)(x)) / (No(ctx) + a)
@@ -22,6 +25,14 @@ position's excess log-capacity:
 so the smallest codebook gets no guidance and the largest gets the full
 base scale.  On a constant schedule the size factor is identically 1 and
 the combination reduces to standard CFG.
+
+Sampling is deterministic: ``sample_corpus`` draws all rows together, one
+position at a time, and sample i takes its uniforms from its own
+``numpy.random.default_rng((seed, i))``, one ``random()`` per position, turned
+into a token by inverse CDF (the draw ``Generator.choice(K_t, p=p)`` makes).
+Temperature 0 takes the argmax and draws nothing.  A sample therefore does
+not depend on how many others are drawn with it, and ``sample_sequence``
+with seed (seed, i) reproduces row i.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ from .schedule import Schedule, codebook_size_at, codebook_sizes
 __all__ = [
     "GuidancePolicy",
     "CountModel",
+    "CountTable",
     "MASK",
     "size_aware_scale",
     "apply_guidance",
@@ -66,6 +78,12 @@ class GuidancePolicy:
     temperature: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("scale", "power", "temperature"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not isinstance(self.size_aware, bool):
+            raise ValueError(f"size_aware must be true or false, got {self.size_aware!r}")
         if self.scale < 0:
             raise ValueError(f"scale must be >= 0, got {self.scale}")
         if self.ramp not in _RAMPS:
@@ -121,13 +139,40 @@ def apply_guidance(
     return out
 
 
+@dataclass(frozen=True)
+class CountTable:
+    """Next-token counts after every context of one order at one position.
+
+    A context of order o is identified by its rank: the index of its key in
+    ``keys``, where the key of (x[t-o], ..., x[t-1]) is
+    ``rank_{o-1} * k_max + x[t-o]`` and rank_{o-1} is the rank of the
+    context one token shorter (0 for the empty context, whose table holds
+    the single key 0).  Keys compose dense ranks, never raw powers of k_max,
+    so they stay below N * k_max for N training rows.
+
+    Counts are kept per scope: scope c < len(classes) is class c's rows,
+    scope len(classes) is all rows pooled.  ``ids`` lists the sorted
+    ``scope * len(keys) + rank`` of every context seen in its scope;
+    ``tokens[offsets[j]:offsets[j + 1]]`` are the distinct tokens that
+    followed context ``ids[j]``, ascending, with their ``counts``, and
+    ``totals[j]`` is the sum of those counts.
+    """
+
+    keys: np.ndarray
+    ids: np.ndarray
+    offsets: np.ndarray
+    tokens: np.ndarray
+    counts: np.ndarray
+    totals: np.ndarray
+
+
 @dataclass
 class CountModel:
     """Exact prefix -> next-token count tables for one schedule.
 
-    ``class_counts[(label, t, ctx)]`` and ``pooled_counts[(t, ctx)]`` map a
-    context tuple ending at position t to a token count dict; the pooled
-    table is the sum of the per-class tables.
+    ``tables[t][o]`` is the :class:`CountTable` of order-o contexts ending
+    at position t, for o = 0 .. min(max_order, t); the pooled scope's
+    counts are the sum of the per-class counts.
     """
 
     schedule: Schedule
@@ -136,8 +181,28 @@ class CountModel:
     max_order: int
     smoothing: float
     classes: list[int]
-    class_counts: dict = field(repr=False)
-    pooled_counts: dict = field(repr=False)
+    tables: list[list[CountTable]] = field(repr=False)
+
+
+def _find(sorted_keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each query in ``sorted_keys`` and whether it is present there."""
+    pos = np.searchsorted(sorted_keys, queries)
+    found = pos < len(sorted_keys)
+    found[found] = sorted_keys[pos[found]] == queries[found]
+    return pos, found
+
+
+def _count_table(
+    keys: np.ndarray, rank: np.ndarray, scope: np.ndarray, nxt: np.ndarray, k_t: int
+) -> CountTable:
+    # ``scope`` lists every row twice (class scope, then pooled scope), so
+    # ``rank`` and ``nxt`` are tiled to match
+    ids, ctx = np.unique(scope * len(keys) + np.tile(rank, 2), return_inverse=True)
+    pairs, counts = np.unique(ctx * k_t + np.tile(nxt, 2), return_counts=True)
+    totals = np.bincount(ctx, minlength=len(ids))
+    offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs // k_t, minlength=len(ids)), out=offsets[1:])
+    return CountTable(keys, ids, offsets, pairs % k_t, counts, totals)
 
 
 def fit_counts(
@@ -171,65 +236,80 @@ def fit_counts(
                 f"corpus does not respect this schedule"
             )
 
-    class_counts: dict = {}
-    pooled_counts: dict = {}
-    rows = corpus.tokens.tolist()
-    labels = corpus.labels.tolist()
-    for row, label in zip(rows, labels):
-        for t in range(corpus.length):
-            token = row[t]
-            for order in range(min(max_order, t) + 1):
-                ctx = tuple(row[t - order : t])
-                key = (t, ctx)
-                bucket = pooled_counts.get(key)
-                if bucket is None:
-                    bucket = pooled_counts[key] = {}
-                bucket[token] = bucket.get(token, 0) + 1
-                ckey = (label, t, ctx)
-                bucket = class_counts.get(ckey)
-                if bucket is None:
-                    bucket = class_counts[ckey] = {}
-                bucket[token] = bucket.get(token, 0) + 1
+    tokens = corpus.tokens
+    classes, class_index = np.unique(corpus.labels, return_inverse=True)
+    scope = np.concatenate([class_index, np.full(corpus.n_samples, len(classes))])
+    tables = []
+    for t, k_t in enumerate(sizes):
+        keys = np.zeros(1, dtype=np.int64)
+        rank = np.zeros(corpus.n_samples, dtype=np.int64)
+        per_order = []
+        for order in range(min(max_order, t) + 1):
+            if order:
+                keys, rank = np.unique(
+                    rank * corpus.k_max + tokens[:, t - order], return_inverse=True
+                )
+            per_order.append(_count_table(keys, rank, scope, tokens[:, t], k_t))
+        tables.append(per_order)
     return CountModel(
         schedule=schedule,
         k_max=corpus.k_max,
         length=corpus.length,
         max_order=max_order,
         smoothing=smoothing,
-        classes=sorted(set(labels)),
-        class_counts=class_counts,
-        pooled_counts=pooled_counts,
+        classes=classes.tolist(),
+        tables=tables,
     )
 
 
-def _probs(model: CountModel, label: int | None, prefix, t: int, k_t: int) -> np.ndarray:
+def _probs(
+    model: CountModel, scope: np.ndarray, prefix: np.ndarray, t: int, k_t: int
+) -> np.ndarray:
+    """Back-off distributions (n, K_t) at position t for n rows.
+
+    Row i reads the counts of scope ``scope[i]`` after the tokens
+    ``prefix[i, :t]``.
+    """
     alpha = model.smoothing
-    if label is None:
-        lookup = lambda ctx: model.pooled_counts.get((t, ctx))
-    else:
-        lookup = lambda ctx: model.class_counts.get((label, t, ctx))
-    # position-t unigram with per-outcome Laplace mass over the K_t support
-    probs = np.full(k_t, alpha, dtype=np.float64)
-    base = lookup(())
-    total = 0
-    if base:
-        for token, count in base.items():
-            probs[token] += count
-            total += count
-    probs /= total + alpha * k_t
-    # interpolate longer contexts; unseen contexts pass the distribution through
-    for order in range(1, min(model.max_order, t) + 1):
-        ctx = tuple(prefix[t - order : t])
-        bucket = lookup(ctx)
-        if not bucket:
-            continue
-        vec = np.zeros(k_t, dtype=np.float64)
-        total = 0
-        for token, count in bucket.items():
-            vec[token] += count
-            total += count
-        probs = (vec + alpha * probs) / (total + alpha)
+    n = len(scope)
+    rank = np.zeros(n, dtype=np.int64)
+    seen = np.ones(n, dtype=bool)
+    for order, table in enumerate(model.tables[t]):
+        if order:
+            rank, found = _find(table.keys, rank * model.k_max + prefix[:, t - order])
+            seen &= found
+        j, hit = _find(table.ids, scope * len(table.keys) + rank)
+        hit &= seen
+        rows = np.flatnonzero(hit)
+        first, stop = table.offsets[j[rows]], table.offsets[j[rows] + 1]
+        width = stop - first
+        # the CSR entry ranges of all hit rows, concatenated
+        entries = np.arange(width.sum()) + np.repeat(first - np.cumsum(width) + width, width)
+        vec = np.zeros((n, k_t), dtype=np.float64)
+        vec[np.repeat(rows, width), table.tokens[entries]] = table.counts[entries]
+        total = np.zeros(n, dtype=np.int64)
+        total[rows] = table.totals[j[rows]]
+        if order == 0:
+            # position-t unigram with per-outcome Laplace mass over the K_t support
+            probs = (vec + alpha) / (total + alpha * k_t)[:, None]
+        else:
+            # interpolate; an unseen context passes the distribution through
+            # unchanged (computing it with total 0 would round differently)
+            mixed = (vec + alpha * probs) / (total + alpha)[:, None]
+            probs = np.where(hit[:, None], mixed, probs)
     return probs
+
+
+def _scopes(model: CountModel, labels) -> np.ndarray:
+    """Table scope of each label: its class index, or the pooled scope for None."""
+    index = {label: i for i, label in enumerate(model.classes)}
+    index[None] = len(model.classes)
+    unknown = sorted({repr(label) for label in labels if label not in index})
+    if unknown:
+        raise ValueError(
+            f"unknown class id {', '.join(unknown)}; known: {model.classes}"
+        )
+    return np.array([index[label] for label in labels], dtype=np.int64)
 
 
 def logits(model: CountModel, label: int | None, prefix, t: int) -> np.ndarray:
@@ -246,18 +326,65 @@ def logits(model: CountModel, label: int | None, prefix, t: int) -> np.ndarray:
         raise ValueError(f"prefix must hold exactly {t} tokens, got {len(prefix)}")
     if any(not 0 <= p < model.k_max for p in prefix):
         raise ValueError(f"prefix tokens must lie in [0, {model.k_max})")
-    if label is not None and label not in model.classes:
-        raise ValueError(f"unknown class id {label}; known: {model.classes}")
+    scope = _scopes(model, [label])
     k_t = codebook_size_at(model.schedule, t)
     out = np.full(model.k_max, MASK, dtype=np.float64)
-    out[:k_t] = np.log2(_probs(model, label, prefix, t, k_t))
+    rows = np.array([prefix], dtype=np.int64)
+    out[:k_t] = np.log2(_probs(model, scope, rows, t, k_t))[0]
     return out
 
 
 def _softmax_base2(values: np.ndarray) -> np.ndarray:
-    shifted = values - values.max()
+    shifted = values - values.max(axis=-1, keepdims=True)
     weights = np.exp2(shifted)
-    return weights / weights.sum()
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+# Generator.choice's tolerance on the sum of a float64 probability vector
+_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _sample_rows(
+    model: CountModel,
+    policy: GuidancePolicy,
+    scope: np.ndarray,
+    uniforms: np.ndarray | None,
+) -> np.ndarray:
+    """Sample one sequence per entry of ``scope``, all rows one position at a time.
+
+    ``uniforms[i, t]`` is row i's draw at position t (None at temperature 0,
+    which takes the argmax).  Drawing by inverse CDF consumes exactly what
+    ``Generator.choice(K_t, p=p)`` would, and picks the same token.
+    """
+    sizes = codebook_sizes(model.schedule)
+    pooled = np.full(len(scope), len(model.classes))
+    out = np.zeros((len(scope), model.length), dtype=np.int64)
+    for t, k_t in enumerate(sizes):
+        s_t = size_aware_scale(policy, t)
+        guided = np.log2(_probs(model, scope, out, t, k_t))
+        if s_t:
+            # (1 + 0) * cond - 0 * uncond is cond exactly, so s_t = 0 skips it
+            uncond = np.log2(_probs(model, pooled, out, t, k_t))
+            guided = apply_guidance(guided, uncond, s_t)
+        if policy.temperature == 0.0:
+            out[:, t] = np.argmax(guided, axis=1)
+            continue
+        p = _softmax_base2(guided / policy.temperature)
+        if not (np.all(p >= 0) and np.all(np.abs(p.sum(axis=1) - 1.0) <= _SUM_ATOL)):
+            raise ValueError(f"position {t}: probabilities are negative or do not sum to 1")
+        cdf = np.cumsum(p, axis=1)
+        cdf = cdf / cdf[:, -1:]
+        # searchsorted(cdf, u, side="right") of each row; cdf is non-decreasing
+        out[:, t] = np.count_nonzero(cdf <= uniforms[:, t, None], axis=1)
+    return out
+
+
+def _check_lengths(model: CountModel, policy: GuidancePolicy) -> None:
+    if policy.schedule.length != model.length:
+        raise ValueError(
+            f"policy schedule length {policy.schedule.length} does not match "
+            f"model length {model.length}"
+        )
 
 
 def sample_sequence(
@@ -270,30 +397,21 @@ def sample_sequence(
 
     Every position combines conditional and unconditional logits with the
     policy's s_t, rescales by temperature, and samples over the K_t valid
-    entries (argmax when temperature is 0).  Deterministic given ``seed``.
+    entries (argmax when temperature is 0).  Position t consumes the t-th
+    ``random()`` of ``default_rng(seed)``.  Equal to row i of
+    ``sample_corpus(..., seed=s)`` for seed (s, i) and that row's label.
     """
-    if policy.schedule.length != model.length:
-        raise ValueError(
-            f"policy schedule length {policy.schedule.length} does not match "
-            f"model length {model.length}"
-        )
-    rng = np.random.default_rng(seed)
-    sizes = codebook_sizes(model.schedule)
-    out = np.empty(model.length, dtype=np.int64)
-    prefix: list[int] = []
-    for t in range(model.length):
-        cond = logits(model, label, prefix, t)
-        uncond = logits(model, None, prefix, t)
-        guided = apply_guidance(cond, uncond, size_aware_scale(policy, t))
-        valid = guided[: sizes[t]]
-        if policy.temperature == 0.0:
-            token = int(np.argmax(valid))
-        else:
-            p = _softmax_base2(valid / policy.temperature)
-            token = int(rng.choice(sizes[t], p=p))
-        out[t] = token
-        prefix.append(token)
-    return out
+    _check_lengths(model, policy)
+    scope = _scopes(model, [label])
+    uniforms = None
+    if policy.temperature != 0.0:
+        uniforms = np.random.default_rng(seed).random((1, model.length))
+    return _sample_rows(model, policy, scope, uniforms)[0]
+
+
+# rows sampled together are capped so one (rows, k_max) float array stays
+# near 8 MB however large the codebook
+_BLOCK_ELEMENTS = 1 << 20
 
 
 def sample_corpus(
@@ -305,21 +423,37 @@ def sample_corpus(
 ) -> TokenCorpus:
     """Draw a corpus of sequences; sample i uses generator seed (seed, i).
 
-    ``labels`` defaults to cycling through the model's classes.  The
-    per-sample seed derivation keeps results independent of scheduling
-    order.
+    ``labels`` defaults to cycling through the model's classes; an unknown
+    label is rejected before sampling starts.  Each sample draws one
+    uniform per position from its own generator, so results are
+    independent of how rows are batched.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    _check_lengths(model, policy)
     if labels is None:
         classes = model.classes or [0]
         labels = [classes[i % len(classes)] for i in range(n_samples)]
     labels = list(labels)
     if len(labels) != n_samples:
         raise ValueError(f"need {n_samples} labels, got {len(labels)}")
+    if None in labels:
+        raise ValueError("sample_corpus labels must be class ids, got None")
+    scope = _scopes(model, labels)
+    uniforms = None
+    if policy.temperature != 0.0:
+        uniforms = np.stack(
+            [np.random.default_rng((seed, i)).random(model.length) for i in range(n_samples)]
+        )
+    block = max(1, _BLOCK_ELEMENTS // model.k_max)
     rows = np.empty((n_samples, model.length), dtype=np.int64)
-    for i, label in enumerate(labels):
-        rows[i] = sample_sequence(model, label, policy, seed=(seed, i))
+    for lo in range(0, n_samples, block):
+        rows[lo : lo + block] = _sample_rows(
+            model,
+            policy,
+            scope[lo : lo + block],
+            None if uniforms is None else uniforms[lo : lo + block],
+        )
     return TokenCorpus(tokens=rows, k_max=model.k_max, labels=np.asarray(labels))
 
 
@@ -380,6 +514,6 @@ def policy_from_json(data: dict, schedule: Schedule) -> GuidancePolicy:
         scale=float(data.get("scale", 0.0)),
         ramp=str(data.get("ramp", "none")),
         power=float(data.get("power", 1.5)),
-        size_aware=bool(data.get("size_aware", True)),
+        size_aware=data.get("size_aware", True),
         temperature=float(data.get("temperature", 1.0)),
     )

@@ -178,6 +178,24 @@ class TestPipelineCommands:
         bad.write_bytes(b"garbage!")
         assert main(["analyze", "--corpus", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "policy", ['{"scale": NaN}', '{"temperature": Infinity}', '{"size_aware": "false"}']
+    )
+    def test_bad_policy_is_data_error(self, tmp_path, capsys, policy):
+        import numpy as np
+
+        from vcqlab.corpus import TokenCorpus, write_corpus
+
+        corpus = tmp_path / "train.vcqt"
+        write_corpus(TokenCorpus(tokens=np.array([[0, 1], [1, 0]]), k_max=4, labels=[0, 1]), corpus)
+        sched = '{"family": "constant", "k_min": 4, "k_max": 4, "length": 2}'
+        argv = ["generate", "--corpus", str(corpus), "--schedule", sched,
+                "--policy", policy, "--n", "2", "--seed", "0",
+                "--out", str(tmp_path / "gen.vcqt")]
+        assert main(argv) == 2
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "gen.vcqt").exists()
+
 
 class TestExperimentCommand:
     def test_experiment_writes_report(self, tmp_path, config_file, capsys):

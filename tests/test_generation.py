@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import vcqlab.generation
 from vcqlab.corpus import TokenCorpus
 from vcqlab.generation import (
     MASK,
+    CountTable,
     GuidancePolicy,
     apply_guidance,
     fit_counts,
@@ -24,6 +27,103 @@ CONSTANT8 = Schedule(Family.CONSTANT, 8, 8, 4)
 
 def make_corpus(tokens, k_max, labels):
     return TokenCorpus(tokens=np.asarray(tokens), k_max=k_max, labels=np.asarray(labels))
+
+
+def decode_tables(model):
+    """``model.tables`` as dicts: {(label, t, ctx): {token: count}} per class
+    and {(t, ctx): {token: count}} pooled, ctx being the tuple of context tokens."""
+    class_counts, pooled_counts = {}, {}
+    for t, per_order in enumerate(model.tables):
+        contexts = [()]  # context tuple of each rank, one order shorter
+        for order, table in enumerate(per_order):
+            if order:
+                contexts = [
+                    (key % model.k_max,) + contexts[key // model.k_max]
+                    for key in table.keys.tolist()
+                ]
+            for j, ctx_id in enumerate(table.ids.tolist()):
+                scope, rank = divmod(ctx_id, len(table.keys))
+                lo, hi = table.offsets[j], table.offsets[j + 1]
+                bucket = dict(zip(table.tokens[lo:hi].tolist(), table.counts[lo:hi].tolist()))
+                assert sum(bucket.values()) == table.totals[j]
+                if scope == len(model.classes):
+                    pooled_counts[(t, contexts[rank])] = bucket
+                else:
+                    class_counts[(model.classes[scope], t, contexts[rank])] = bucket
+    return class_counts, pooled_counts
+
+
+# -- reference: the dict-backed count model and one-row-at-a-time sampling
+# loop that the array engine replaced, which it must match token for token
+
+
+def reference_fit(corpus, max_order):
+    class_counts, pooled_counts = {}, {}
+    for row, label in zip(corpus.tokens.tolist(), corpus.labels.tolist()):
+        for t in range(corpus.length):
+            for order in range(min(max_order, t) + 1):
+                ctx = tuple(row[t - order : t])
+                for table, key in ((pooled_counts, (t, ctx)), (class_counts, (label, t, ctx))):
+                    bucket = table.setdefault(key, {})
+                    bucket[row[t]] = bucket.get(row[t], 0) + 1
+    return class_counts, pooled_counts
+
+
+def reference_probs(tables, max_order, alpha, label, prefix, t, k_t):
+    class_counts, pooled_counts = tables
+    if label is None:
+        lookup = lambda ctx: pooled_counts.get((t, ctx))
+    else:
+        lookup = lambda ctx: class_counts.get((label, t, ctx))
+    probs = np.full(k_t, alpha, dtype=np.float64)
+    base = lookup(())
+    total = 0
+    if base:
+        for token, count in base.items():
+            probs[token] += count
+            total += count
+    probs /= total + alpha * k_t
+    for order in range(1, min(max_order, t) + 1):
+        bucket = lookup(tuple(prefix[t - order : t]))
+        if not bucket:
+            continue
+        vec = np.zeros(k_t, dtype=np.float64)
+        total = 0
+        for token, count in bucket.items():
+            vec[token] += count
+            total += count
+        probs = (vec + alpha * probs) / (total + alpha)
+    return probs
+
+
+def reference_logits(tables, corpus, schedule, max_order, alpha, label, prefix, t):
+    k_t = codebook_sizes(schedule)[t]
+    out = np.full(corpus.k_max, MASK, dtype=np.float64)
+    out[:k_t] = np.log2(reference_probs(tables, max_order, alpha, label, prefix, t, k_t))
+    return out
+
+
+def reference_sample_corpus(corpus, policy, max_order, alpha, n_samples, seed, labels):
+    tables = reference_fit(corpus, max_order)
+    sizes = codebook_sizes(policy.schedule)
+    rows = []
+    for i, label in enumerate(labels):
+        rng = np.random.default_rng((seed, i))
+        prefix = []
+        for t in range(corpus.length):
+            args = (tables, corpus, policy.schedule, max_order, alpha)
+            cond = reference_logits(*args, label, prefix, t)
+            uncond = reference_logits(*args, None, prefix, t)
+            valid = apply_guidance(cond, uncond, size_aware_scale(policy, t))[: sizes[t]]
+            if policy.temperature == 0.0:
+                token = int(np.argmax(valid))
+            else:
+                shifted = valid / policy.temperature
+                weights = np.exp2(shifted - shifted.max())
+                token = int(rng.choice(sizes[t], p=weights / weights.sum()))
+            prefix.append(token)
+        rows.append(prefix)
+    return np.array(rows, dtype=np.int64)
 
 
 class TestSizeAwareScale:
@@ -72,6 +172,21 @@ class TestSizeAwareScale:
             GuidancePolicy(schedule=self.SCHED, ramp="step")
         with pytest.raises(ValueError):
             GuidancePolicy(schedule=self.SCHED, power=0.0)
+
+    @pytest.mark.parametrize("field", ["scale", "power", "temperature"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GuidancePolicy(schedule=self.SCHED, **{field: value})
+        with pytest.raises(ValueError, match=field):
+            policy_from_json({field: value}, self.SCHED)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_size_aware_must_be_bool(self, value):
+        with pytest.raises(ValueError, match="size_aware"):
+            policy_from_json({"size_aware": value}, self.SCHED)
+        with pytest.raises(ValueError, match="size_aware"):
+            GuidancePolicy(schedule=self.SCHED, size_aware=value)
 
 
 class TestApplyGuidance:
@@ -127,10 +242,11 @@ class TestFitCounts:
     def test_pooled_is_sum_over_classes(self):
         corpus = make_corpus([[0, 1], [0, 2], [1, 1]], 8, [0, 1, 0])
         model = fit_counts(corpus, Schedule(Family.CONSTANT, 8, 8, 2))
-        for (t, ctx), bucket in model.pooled_counts.items():
+        class_counts, pooled_counts = decode_tables(model)
+        for (t, ctx), bucket in pooled_counts.items():
             by_class = {}
             for label in model.classes:
-                for token, count in model.class_counts.get((label, t, ctx), {}).items():
+                for token, count in class_counts.get((label, t, ctx), {}).items():
                     by_class[token] = by_class.get(token, 0) + count
             assert by_class == bucket
 
@@ -139,8 +255,21 @@ class TestFitCounts:
         sched = Schedule(Family.CONSTANT, 8, 8, 2)
         m1 = fit_counts(corpus, sched, max_order=2)
         m2 = fit_counts(corpus, sched, max_order=2)
-        assert m1.pooled_counts == m2.pooled_counts
-        assert m1.class_counts == m2.class_counts
+        assert m1.classes == m2.classes
+        for per_order1, per_order2 in zip(m1.tables, m2.tables, strict=True):
+            for a, b in zip(per_order1, per_order2, strict=True):
+                for f in dataclasses.fields(CountTable):
+                    assert np.array_equal(getattr(a, f.name), getattr(b, f.name))
+
+    @pytest.mark.parametrize("max_order", [0, 1, 2, 4])
+    def test_tables_equal_dict_counts(self, max_order):
+        sched = Schedule(Family.COSINE, 2, 16, 7)
+        rng = np.random.default_rng(11)
+        rows = np.stack([rng.integers(0, k, size=40) for k in codebook_sizes(sched)], axis=1)
+        corpus = make_corpus(rows, 16, rng.choice([3, 7, 9], size=40))
+        model = fit_counts(corpus, sched, max_order=max_order)
+        assert model.classes == [3, 7, 9]
+        assert decode_tables(model) == reference_fit(corpus, max_order)
 
 
 class TestLogits:
@@ -160,9 +289,10 @@ class TestLogits:
         corpus = make_corpus([[0, 1]], 4, [0])
         sched = Schedule(Family.CONSTANT, 4, 4, 2)
         model = fit_counts(corpus, sched, max_order=0, smoothing=0.5)
-        # erase the unigram to simulate a fully untrained position
-        model.pooled_counts.clear()
-        model.class_counts.clear()
+        # empty tables simulate a fully untrained position
+        none = np.zeros(0, dtype=np.int64)
+        empty = CountTable(none, none, np.zeros(1, dtype=np.int64), none, none, none)
+        model.tables = [[empty] for _ in model.tables]
         out = logits(model, None, [0], 1)
         assert np.allclose(out[:4], -2.0, atol=1e-12)
 
@@ -265,6 +395,21 @@ class TestSampling:
         g_plain = apply_guidance(cond, uncond, size_aware_scale(plain, 2))
         assert np.array_equal(g_aware, g_plain)
 
+    def test_unknown_label_rejected_before_sampling(self, monkeypatch):
+        corpus = make_corpus([[0, 1], [1, 0]], 4, [0, 1])
+        sched = Schedule(Family.CONSTANT, 4, 4, 2)
+        model = fit_counts(corpus, sched)
+        policy = GuidancePolicy(schedule=sched)
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(vcqlab.generation, "_probs", no_sampling)
+        with pytest.raises(ValueError, match="unknown class id 5, 8"):
+            sample_corpus(model, policy, n_samples=4, seed=0, labels=[0, 5, 1, 8])
+        with pytest.raises(ValueError, match="None"):
+            sample_corpus(model, policy, n_samples=2, seed=0, labels=[0, None])
+
     def test_first_token_distribution_chi_squared(self):
         # sampler correctness: first tokens follow the class-conditional
         # smoothed distribution (s=0, temperature 1)
@@ -280,6 +425,79 @@ class TestSampling:
         observed = np.bincount(sample.tokens[:, 0], minlength=4)
         chi2 = float(np.sum((observed - draws * expected) ** 2 / (draws * expected)))
         assert chi2 < 16.27  # chi-squared 99.9% critical value, 3 dof
+
+
+ORACLE_CASES = {
+    # name: (schedule, k_max, max_order, policy fields, labels)
+    "constant-s0": (Schedule(Family.CONSTANT, 8, 8, 7), 8, 4, {}, None),
+    "constant-s3": (Schedule(Family.CONSTANT, 8, 8, 7), 8, 4, {"scale": 3.0}, None),
+    "cosine-s0": (Schedule(Family.COSINE, 2, 16, 7), 16, 4, {}, None),
+    "cosine-ramp-s3": (
+        Schedule(Family.COSINE, 2, 16, 7), 16, 4, {"scale": 3.0, "ramp": "cosine"}, None,
+    ),
+    "cosine-s3-plain": (
+        Schedule(Family.COSINE, 2, 16, 7), 16, 3,
+        {"scale": 3.0, "ramp": "cosine", "size_aware": False}, None,
+    ),
+    "temperature-0": (
+        Schedule(Family.COSINE, 2, 16, 7), 16, 4,
+        {"scale": 3.0, "ramp": "cosine", "temperature": 0.0}, None,
+    ),
+    "temperature-0.7": (
+        Schedule(Family.LINEAR, 2, 16, 7), 16, 2, {"scale": 1.5, "temperature": 0.7}, None,
+    ),
+    "order-0": (Schedule(Family.COSINE, 2, 16, 7), 16, 0, {"scale": 3.0}, None),
+    "order-1": (Schedule(Family.COSINE, 2, 16, 7), 16, 1, {"scale": 3.0}, None),
+    "explicit-labels": (
+        Schedule(Family.COSINE, 2, 16, 7), 16, 4,
+        {"scale": 3.0, "ramp": "cosine"}, [7, 7, 3, 9, 3, 3, 9, 7, 9, 3],
+    ),
+    # raw keys of four context tokens and the next one (16384**5) overflow int64
+    "kmax-16384": (
+        Schedule(Family.COSINE, 2, 16384, 6), 16384, 4, {"scale": 3.0, "ramp": "cosine"}, None,
+    ),
+}
+
+
+class TestSamplerOracle:
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_tokens_equal_dict_reference(self, case):
+        sched, k_max, max_order, fields, labels = ORACLE_CASES[case]
+        rng = np.random.default_rng(list(ORACLE_CASES).index(case))
+        # few training rows over many contexts: samples walk into unseen contexts
+        rows = np.stack([rng.integers(0, k, size=30) for k in codebook_sizes(sched)], axis=1)
+        corpus = make_corpus(rows, k_max, rng.choice([3, 7, 9], size=30))
+        # smoothing well above 0.1 makes samples leave the training rows; not a power
+        # of two, so a skipped pass-through would change the bits
+        model = fit_counts(corpus, sched, max_order=max_order, smoothing=0.7)
+        policy = GuidancePolicy(schedule=sched, **fields)
+        n = 10
+        seed = 5
+        expected_labels = labels or [[3, 7, 9][i % 3] for i in range(n)]
+        expected = reference_sample_corpus(
+            corpus, policy, max_order, 0.7, n, seed, expected_labels
+        )
+        sample = sample_corpus(model, policy, n_samples=n, seed=seed, labels=labels)
+        assert np.array_equal(sample.tokens, expected)
+        assert sample.labels.tolist() == expected_labels
+        tables = reference_fit(corpus, max_order)
+        if max_order >= 2 and policy.temperature:
+            # some sample backs off from a context no training row has
+            pooled = tables[1]
+            assert any(
+                (t, tuple(row[t - min(max_order, t) : t])) not in pooled
+                for row in expected.tolist()
+                for t in range(1, sched.length)
+            )
+        for i, label in enumerate(expected_labels):
+            row = sample_sequence(model, label, policy, (seed, i))
+            assert np.array_equal(row, expected[i])
+            for t in range(sched.length):
+                for cls in (label, None):
+                    ref = reference_logits(
+                        tables, corpus, sched, max_order, 0.7, cls, row[:t].tolist(), t
+                    )
+                    assert np.array_equal(logits(model, cls, row[:t], t), ref)
 
 
 class TestMemorizationReport:
@@ -326,3 +544,4 @@ class TestPolicyJson:
         sched = Schedule(Family.CONSTANT, 4, 4, 2)
         with pytest.raises(ValueError, match="unknown"):
             policy_from_json({"scale": 1.0, "cfg_start": 0}, sched)
+
