@@ -39,7 +39,6 @@ from .quantizer import (
     quantize_sequence,
     read_codebook,
     utilization_profile,
-    vq_loss_terms,
     write_codebook,
 )
 from .schedule import (

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import struct
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,12 +72,24 @@ class TokenCorpus:
         return self.tokens.shape[1]
 
 
-def _atomic_write(path: str | Path, payload: bytes) -> None:
-    # temp + rename so readers never observe a partial file
+def atomic_write(path: str | Path, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` through a temp file renamed over it.
+
+    Readers never observe a partial file.  The temp file sits in the target
+    directory under a name of its own (created exclusively, with the usual
+    permissions), so concurrent writers never share one, and a failed write
+    removes it, leaving ``path`` as it was.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_corpus(corpus: TokenCorpus, path: str | Path) -> None:
@@ -93,7 +106,7 @@ def write_corpus(corpus: TokenCorpus, path: str | Path) -> None:
     ]
     if corpus.labels is not None:
         parts.append(np.ascontiguousarray(corpus.labels, dtype="<u4").tobytes())
-    _atomic_write(path, b"".join(parts))
+    atomic_write(path, b"".join(parts))
 
 
 def read_corpus(path: str | Path) -> TokenCorpus:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -509,11 +510,16 @@ def policy_from_json(data: dict, schedule: Schedule) -> GuidancePolicy:
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown policy fields: {sorted(unknown)}")
+    values = {}
+    for name, default in (("scale", 0.0), ("power", 1.5), ("temperature", 1.0)):
+        value = data.get(name, default)
+        # bool is an int subclass; a JSON true must not read as 1.0
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        values[name] = float(value)
+    ramp = data.get("ramp", "none")
+    if not isinstance(ramp, str):
+        raise ValueError(f"ramp must be a string, got {ramp!r}")
     return GuidancePolicy(
-        schedule=schedule,
-        scale=float(data.get("scale", 0.0)),
-        ramp=str(data.get("ramp", "none")),
-        power=float(data.get("power", 1.5)),
-        size_aware=data.get("size_aware", True),
-        temperature=float(data.get("temperature", 1.0)),
+        schedule=schedule, ramp=ramp, size_aware=data.get("size_aware", True), **values
     )

@@ -5,6 +5,18 @@ position t may select only from the first K_t rows, where K_t comes from a
 :class:`~vcqlab.schedule.Schedule`.  Nearest neighbors use unnormalized
 squared Euclidean distance with ties broken by lowest index.
 
+Exactness contract: one kernel, :func:`_nearest`, serves
+:func:`quantize_position`, :func:`quantize_sequence`, :func:`quantize_batch`
+and every :func:`fit_codebook` epoch.  It returns exactly the token an
+exhaustive scan returns under the reference distance
+``sum_j (e_j - z_j)**2`` (summed left to right over the d dimensions), with
+the lowest index winning ties, at any offset or scale of the data and under
+any BLAS threading.  Fast scores from one GEMM per block of rows pick the
+candidate; a rigorous floating-point bound sends the rows whose runner-up
+lies within rounding error of it to an exhaustive rescan with the reference
+formula.  Reported distances always come from the reference formula, so
+every entry point returns the same bits for the same latent.
+
 Codebook files are little-endian binary:
 
     magic   "VCQC"  (4 bytes)
@@ -16,14 +28,13 @@ Codebook files are little-endian binary:
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import TokenCorpus
+from .corpus import TokenCorpus, atomic_write
 from .schedule import Schedule, codebook_sizes
 
 __all__ = [
@@ -33,7 +44,6 @@ __all__ = [
     "quantize_sequence",
     "quantize_batch",
     "decode",
-    "vq_loss_terms",
     "fit_codebook",
     "utilization_profile",
     "read_codebook",
@@ -44,6 +54,14 @@ __all__ = [
 CODEBOOK_MAGIC = b"VCQC"
 CODEBOOK_VERSION = 1
 _HEADER = struct.Struct("<4sHII")
+
+# Score-matrix elements per kernel block: 2**16 float64 values (512 KiB) stay
+# in the core's cache between the GEMM that writes a block and the scans that
+# read it.  Rows per block are _BLOCK // K_t; taking all rows of a K_t = 256
+# position in one block measured slower.
+_BLOCK = 1 << 16
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_SMALLEST_SUBNORMAL = float(np.nextafter(0.0, 1.0))
 
 
 @dataclass
@@ -71,17 +89,105 @@ class Codebook:
 
 @dataclass
 class QuantizationResult:
-    """Per-position outcome of quantizing one L x d latent sequence.
-
-    ``residuals`` is quantized - input, so ``input + residuals`` reproduces
-    the quantized output; treating the residual as a constant under
-    differentiation realizes the straight-through estimator.
-    """
+    """Per-position outcome of quantizing one L x d latent sequence."""
 
     tokens: np.ndarray      # (L,) int64
     quantized: np.ndarray   # (L, d) float32, exact codebook rows
     distances: np.ndarray   # (L,) float64, squared Euclidean
-    residuals: np.ndarray   # (L, d) float64
+
+
+def _sqdist(e: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Reference squared distance sum_j (e_j - z_j)**2, summed left to right.
+
+    Element-wise operations only, so a value never depends on the shape of
+    the batch it is computed in, on SIMD code paths or on BLAS threading.
+    """
+    diff = e - z
+    out = diff[..., 0] * diff[..., 0]
+    for j in range(1, diff.shape[-1]):
+        out += diff[..., j] * diff[..., j]
+    return out
+
+
+def _with_ones(latents: np.ndarray) -> np.ndarray:
+    """Position-major kernel rows [z, 1]: (n, L, d) latents -> (L, n, d+1)."""
+    n, length, d = latents.shape
+    out = np.empty((length, n, d + 1), dtype=np.float64)
+    out[..., :d] = latents.transpose(1, 0, 2)
+    out[..., d] = 1.0
+    return out
+
+
+def _nearest(z1: np.ndarray, entries: np.ndarray, table: np.ndarray, k_t: int) -> np.ndarray:
+    """Index of the nearest of ``entries[:k_t]`` to each row ``[z, 1]`` of ``z1``.
+
+    ``entries`` is the float64 codebook and ``table`` its (d+1, k) score
+    matrix ``[-2 E^T; |e|^2]``.  Returns the index minimizing the reference
+    distance R_k = ``_sqdist(e_k, z)``, lowest index on ties, exactly as an
+    exhaustive scan would.
+
+    Score: one GEMM per block of rows gives the proxy s_k = |e_k|^2 - 2 z.e_k
+    = D_k - |z|^2, where D_k = |z - e_k|^2.  Pick: the proxy's argmin b is
+    the answer unless another entry's score lies within ``tol`` of it.
+    Recheck: rows where one does are rescanned with R over all K_t entries.
+
+    Why ``tol`` suffices, with unit roundoff u and gamma_m = m u / (1 - m u).
+    fl(s_k) is a dot product of d+1 terms, [z, 1] . [-2 e_k, fl(|e_k|^2)],
+    so in whatever summation order BLAS uses
+
+        |fl(s_k) - s_k| <= gamma_{d+1} (2 |z||e_k| + fl(|e_k|^2))
+                           + gamma_d |e_k|^2         (rounding of |e_k|^2)
+                        <= 2 gamma_{d+2} (|z| + |e_k|)^2.
+
+    R_k rounds one difference and one square per term and adds d terms:
+
+        |R_k - D_k| <= gamma_{d+2} D_k <= gamma_{d+2} (|z| + |e_k|)^2.
+
+    With rho = (|z| + max_{k<K_t} |e_k|)^2 the two errors of any entry sum
+    to at most 3 gamma_{d+2} rho, so for every k
+
+        R_k - R_b >= fl(s_k) - fl(s_b) - 6 gamma_{d+2} rho.
+
+    If every k != b has fl(s_k) - fl(s_b) > tol >= 6 gamma_{d+2} rho, then b
+    is the unique minimizer of R.  tol = 8 (d+2) (u rho + eta) keeps a third
+    in reserve for the rounding of the gap, of |z|, of max |e_k| and of tol
+    itself; the smallest subnormal eta covers products that underflow.  A
+    NaN gap (infinite scores) fails the test too and is rescanned.
+    """
+    n, d = z1.shape[0], z1.shape[1] - 1
+    z = z1[:, :d]
+    rho = (np.sqrt(np.einsum("nd,nd->n", z, z)) + np.sqrt(table[d, :k_t].max())) ** 2
+    tol = 8 * (d + 2) * (_UNIT_ROUNDOFF * rho + _SMALLEST_SUBNORMAL)
+    tokens = np.empty(n, dtype=np.int64)
+    unsure = np.empty(n, dtype=bool)
+    rows = max(1, _BLOCK // k_t)
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
+        scores = z1[r0:r1] @ table[:, :k_t]
+        at = np.arange(r1 - r0)
+        best = scores.argmin(axis=1)
+        lead = scores[at, best]
+        scores[at, best] = np.inf
+        runner_up = scores[at, scores.argmin(axis=1)]
+        tokens[r0:r1] = best
+        unsure[r0:r1] = ~(runner_up - lead > tol[r0:r1])
+    redo = np.flatnonzero(unsure)
+    for r0 in range(0, redo.size, rows):
+        idx = redo[r0 : r0 + rows]
+        tokens[idx] = _sqdist(entries[:k_t], z[idx, None, :]).argmin(axis=1)
+    return tokens
+
+
+def _assign(z1s: np.ndarray, entries: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Kernel tokens at every position: (L, n, d+1) rows -> (L, n) tokens.
+
+    Builds the score matrix of ``entries`` once for the whole pass.
+    """
+    d = entries.shape[1]
+    table = np.empty((d + 1, entries.shape[0]), dtype=np.float64)
+    np.multiply(entries.T, -2.0, out=table[:d])
+    table[d] = _sqdist(entries, 0.0)
+    return np.stack([_nearest(z1s[t], entries, table, k_t) for t, k_t in enumerate(sizes)])
 
 
 def _check_latent(z: np.ndarray, dim: int) -> np.ndarray:
@@ -104,10 +210,9 @@ def quantize_position(
     if not 1 <= k_t <= codebook.k_max:
         raise IndexError(f"k_t {k_t} out of range [1, {codebook.k_max}]")
     z = _check_latent(z, codebook.dim)
-    diff = codebook.entries[:k_t].astype(np.float64) - z
-    d2 = np.einsum("kd,kd->k", diff, diff)
-    token = int(np.argmin(d2))
-    return token, codebook.entries[token].copy(), float(d2[token])
+    entries = codebook.entries[:k_t].astype(np.float64)
+    token = int(_assign(_with_ones(z[None, None, :]), entries, [k_t])[0, 0])
+    return token, codebook.entries[token].copy(), float(_sqdist(entries[token], z))
 
 
 def quantize_sequence(
@@ -119,36 +224,20 @@ def quantize_sequence(
         raise ValueError(
             f"latents must have shape ({schedule.length}, d), got {latents.shape}"
         )
-    if latents.shape[1] != codebook.dim:
-        raise ValueError(
-            f"latent dim {latents.shape[1]} does not match codebook dim {codebook.dim}"
-        )
-    if schedule.k_max > codebook.k_max:
-        raise ValueError(
-            f"schedule k_max {schedule.k_max} exceeds codebook size {codebook.k_max}"
-        )
-    length = schedule.length
-    tokens = np.empty(length, dtype=np.int64)
-    distances = np.empty(length, dtype=np.float64)
-    sizes = codebook_sizes(schedule)
-    for t in range(length):
-        token, _, dist = quantize_position(latents[t], codebook, sizes[t])
-        tokens[t] = token
-        distances[t] = dist
-    quantized = codebook.entries[tokens]
-    residuals = quantized.astype(np.float64) - latents
+    tokens, distances = quantize_batch(latents[None], schedule, codebook)
     return QuantizationResult(
-        tokens=tokens, quantized=quantized, distances=distances, residuals=residuals
+        tokens=tokens[0], quantized=codebook.entries[tokens[0]], distances=distances[0]
     )
 
 
 def quantize_batch(
     latents: np.ndarray, schedule: Schedule, codebook: Codebook
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized tokens/distances for a batch of sequences.
+    """Tokens and squared distances for a batch of sequences.
 
     ``latents`` has shape (n, L, d); returns tokens (n, L) and squared
-    distances (n, L).  Position-wise identical to :func:`quantize_sequence`.
+    distances (n, L), equal bit for bit to :func:`quantize_position` at
+    every position.
     """
     latents = np.asarray(latents, dtype=np.float64)
     if latents.ndim != 3 or latents.shape[1] != schedule.length:
@@ -165,24 +254,9 @@ def quantize_batch(
         )
     if not np.all(np.isfinite(latents)):
         raise ValueError("latents contain non-finite values")
-    n, length, _ = latents.shape
-    tokens = np.empty((n, length), dtype=np.int64)
-    distances = np.empty((n, length), dtype=np.float64)
-    entries = codebook.entries.astype(np.float64)
-    sq_entries = np.einsum("kd,kd->k", entries, entries)
-    for t, k_t in enumerate(codebook_sizes(schedule)):
-        z = latents[:, t, :]
-        # |z - e|^2 = |z|^2 + |e|^2 - 2 z.e; clamp tiny negatives from cancellation
-        d2 = (
-            np.einsum("nd,nd->n", z, z)[:, None]
-            + sq_entries[None, :k_t]
-            - 2.0 * z @ entries[:k_t].T
-        )
-        np.maximum(d2, 0.0, out=d2)
-        tok = np.argmin(d2, axis=1)
-        tokens[:, t] = tok
-        distances[:, t] = d2[np.arange(n), tok]
-    return tokens, distances
+    entries = codebook.entries[: schedule.k_max].astype(np.float64)
+    tokens = np.ascontiguousarray(_assign(_with_ones(latents), entries, codebook_sizes(schedule)).T)
+    return tokens, _sqdist(entries[tokens], latents)
 
 
 def decode(tokens: np.ndarray, codebook: Codebook) -> np.ndarray:
@@ -194,27 +268,6 @@ def decode(tokens: np.ndarray, codebook: Codebook) -> np.ndarray:
             f"[{tokens.min()}, {tokens.max()}]"
         )
     return codebook.entries[tokens]
-
-
-def vq_loss_terms(latents: np.ndarray, result: QuantizationResult) -> tuple[float, float]:
-    """Codebook and commitment loss terms of the standard VQ objective.
-
-    codebook_term  = mean_t |stop_grad(z_t) - e_t|^2
-    commitment_term = mean_t |z_t - stop_grad(e_t)|^2
-
-    The stop-gradient placement only matters under differentiation; the two
-    values are numerically identical and equal the mean squared distance.
-    They are returned separately so a training loop can weight them.
-    """
-    latents = np.asarray(latents, dtype=np.float64)
-    if latents.shape != result.quantized.shape:
-        raise ValueError(
-            f"latents shape {latents.shape} does not match result shape "
-            f"{result.quantized.shape}"
-        )
-    diff = result.quantized.astype(np.float64) - latents
-    term = float(np.mean(np.einsum("ld,ld->l", diff, diff)))
-    return term, term
 
 
 def fit_codebook(
@@ -231,8 +284,9 @@ def fit_codebook(
     ``latent_corpus`` is an (n, L, d) array (or an iterable of L x d
     matrices).  Entries are initialized from randomly sampled latent
     vectors.  Each epoch assigns every latent at position t to its nearest
-    entry among the first K_t, accumulates per-entry counts and vector
-    sums, then updates the exponential moving averages
+    entry among the first K_t (the exact kernel :func:`quantize_batch`
+    uses), accumulates per-entry counts and vector sums, then updates the
+    exponential moving averages
 
         size_i <- decay * size_i + (1 - decay) * count_i
         sum_i  <- decay * sum_i  + (1 - decay) * vecsum_i
@@ -266,22 +320,18 @@ def fit_codebook(
     entries = flat[pick].astype(np.float64)
 
     sizes = codebook_sizes(schedule)
+    z1s = _with_ones(latents)
+    # one contiguous position-major column per dimension: a bincount over it
+    # adds each entry's latents position by position, row by row
+    columns = np.ascontiguousarray(latents.transpose(2, 1, 0)).reshape(d, length * n)
     ema_size = np.zeros(k_max, dtype=np.float64)
     ema_sum = np.zeros((k_max, d), dtype=np.float64)
     for _ in range(epochs):
-        counts = np.zeros(k_max, dtype=np.int64)
-        vecsum = np.zeros((k_max, d), dtype=np.float64)
-        sq_entries = np.einsum("kd,kd->k", entries, entries)
-        for t, k_t in enumerate(sizes):
-            z = latents[:, t, :]
-            d2 = (
-                np.einsum("nd,nd->n", z, z)[:, None]
-                + sq_entries[None, :k_t]
-                - 2.0 * z @ entries[:k_t].T
-            )
-            tok = np.argmin(d2, axis=1)
-            counts += np.bincount(tok, minlength=k_max)
-            np.add.at(vecsum, tok, z)
+        tokens = _assign(z1s, entries, sizes).ravel()
+        counts = np.bincount(tokens, minlength=k_max)
+        vecsum = np.stack(
+            [np.bincount(tokens, weights=column, minlength=k_max) for column in columns], axis=1
+        )
         ema_size = decay * ema_size + (1.0 - decay) * counts
         ema_sum = decay * ema_sum + (1.0 - decay) * vecsum
         live = ema_size > 0.0
@@ -321,11 +371,7 @@ def utilization_profile(tokens_corpus: TokenCorpus, schedule: Schedule) -> list[
 def write_codebook(codebook: Codebook, path: str | Path) -> None:
     """Serialize a codebook to the VCQC binary format (atomic write)."""
     header = _HEADER.pack(CODEBOOK_MAGIC, CODEBOOK_VERSION, codebook.dim, codebook.k_max)
-    payload = header + np.ascontiguousarray(codebook.entries, dtype="<f4").tobytes()
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    atomic_write(path, header + np.ascontiguousarray(codebook.entries, dtype="<f4").tobytes())
 
 
 def read_codebook(path: str | Path) -> Codebook:

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import TokenCorpus, write_corpus
+from .corpus import TokenCorpus, atomic_write, write_corpus
 from .entropy import EntropyProfile, analyze, write_profile_csv
 from .generation import (
     fit_counts,
@@ -488,6 +487,4 @@ def write_experiment_report(report: ExperimentReport, outdir: str | Path) -> Non
         write_corpus(r.generated, outdir / f"generated_{name}.vcqt")
         write_codebook(r.codebook, outdir / f"codebook_{name}.vcqc")
     payload = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    tmp = outdir / "report.json.tmp"
-    tmp.write_text(payload)
-    os.replace(tmp, outdir / "report.json")
+    atomic_write(outdir / "report.json", payload.encode())

@@ -179,7 +179,16 @@ class TestPipelineCommands:
         assert main(["analyze", "--corpus", str(bad)]) == 2
 
     @pytest.mark.parametrize(
-        "policy", ['{"scale": NaN}', '{"temperature": Infinity}', '{"size_aware": "false"}']
+        "policy",
+        [
+            '{"scale": NaN}',
+            '{"temperature": Infinity}',
+            '{"size_aware": "false"}',
+            '{"scale": "3"}',
+            '{"temperature": true}',
+            '{"power": "1.5"}',
+            '{"ramp": 1}',
+        ],
     )
     def test_bad_policy_is_data_error(self, tmp_path, capsys, policy):
         import numpy as np

@@ -1,7 +1,11 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
-from vcqlab.corpus import CORPUS_MAGIC, TokenCorpus, read_corpus, write_corpus
+from vcqlab.corpus import CORPUS_MAGIC, TokenCorpus, atomic_write, read_corpus, write_corpus
+from vcqlab.quantizer import Codebook, write_codebook
 
 from conftest import random_corpus
 
@@ -78,3 +82,52 @@ class TestCorpusFile:
         c = random_corpus(5, 4, 4, 4)
         write_corpus(c, tmp_path / "c.vcqt")
         assert [p.name for p in tmp_path.iterdir()] == ["c.vcqt"]
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: write_corpus(random_corpus(5, 4, 4, 4), path),
+            lambda path: write_codebook(Codebook(entries=np.ones((4, 2))), path),
+        ],
+        ids=["corpus", "codebook"],
+    )
+    def test_failed_write_leaves_nothing_behind(self, tmp_path, monkeypatch, write):
+        def fail(src, dst):
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="simulated"):
+            write(tmp_path / "out.bin")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        target = tmp_path / "out.bin"
+        atomic_write(target, b"old")
+        with pytest.raises(TypeError):
+            atomic_write(target, None)  # fails after the temp file exists
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+        assert target.read_bytes() == b"old"
+
+    def test_concurrent_writers_do_not_collide(self, tmp_path):
+        target = tmp_path / "out.bin"
+        payloads = [bytes([i]) * 65536 for i in range(4)]
+        errors = []
+
+        def writer(payload):
+            try:
+                for _ in range(50):
+                    atomic_write(target, payload)
+            except OSError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert target.read_bytes() in payloads
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]

@@ -181,6 +181,21 @@ class TestSizeAwareScale:
         with pytest.raises(ValueError, match=field):
             policy_from_json({field: value}, self.SCHED)
 
+    @pytest.mark.parametrize("field", ["scale", "power", "temperature"])
+    @pytest.mark.parametrize("value", ["3", True, False, None, [1.0]])
+    def test_policy_numbers_must_be_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            policy_from_json({field: value}, self.SCHED)
+
+    @pytest.mark.parametrize("value", [1, None, True, ["cosine"]])
+    def test_ramp_must_be_string(self, value):
+        with pytest.raises(ValueError, match="ramp must be a string"):
+            policy_from_json({"ramp": value}, self.SCHED)
+
+    def test_integral_numbers_accepted(self):
+        policy = policy_from_json({"scale": 3, "power": 2, "temperature": 1}, self.SCHED)
+        assert (policy.scale, policy.power, policy.temperature) == (3.0, 2.0, 1.0)
+
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_size_aware_must_be_bool(self, value):
         with pytest.raises(ValueError, match="size_aware"):
