@@ -18,7 +18,7 @@ from . import entropy as entropy_mod
 from . import generation as gen_mod
 from . import quantizer as quant_mod
 from . import toylab
-from .corpus import read_corpus, write_corpus
+from .corpus import atomic_write, read_corpus, write_corpus
 from .schedule import (
     SCHEDULE_PRESETS,
     Schedule,
@@ -53,6 +53,10 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
+
+
+def _write_json(path: str, data: dict) -> None:
+    atomic_write(path, (json.dumps(data, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _resolve_schedule(value: str) -> Schedule:
@@ -119,7 +123,7 @@ def cmd_schedule(args) -> int:
         print(f"total_bits    {_fmt(report.cumulative[-1], 2)}")
         print(f"tstar_vcq     {report.tstar_vcq}  (N={args.n})")
     if args.out:
-        Path(args.out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        _write_json(args.out, summary)
     return 0
 
 
@@ -177,7 +181,7 @@ def cmd_tstar(args) -> int:
         for name, n, log_n, t in rows:
             print(f"{name:<14} {n:>12} {log_n:>7.1f} {t:>3}")
     if args.out:
-        Path(args.out).write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
+        _write_json(args.out, out)
     return 0
 
 
@@ -238,7 +242,7 @@ def cmd_analyze(args) -> int:
         head = ", ".join(_fmt(h) for h in profile.conditional_bits[:8])
         print(f"H(x_t|x_<t)    [{head}{', ...' if len(profile.conditional_bits) > 8 else ''}]")
     if args.out:
-        Path(args.out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        _write_json(args.out, summary)
     return 0
 
 
@@ -266,7 +270,7 @@ def cmd_memorization(args) -> int:
         print(f"exact_match_rate    {_fmt(exact)}")
         print(f"mean_longest_prefix {_fmt(longest)}")
     if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _write_json(args.out, report)
     return 0
 
 

@@ -7,26 +7,39 @@ next-token distribution within each prefix group:
 
     H(x_t | x_<t) = sum_p (n_p / N) * H(counts of x_t within group p)
 
-Grouping uses iterative refinement position by position; groups that
-become singletons contribute zero to every later position and are dropped,
-which keeps full-corpus analysis fast beyond the entropy cliff.  Inner and
-outer sums use exactly-rounded summation (math.fsum), so results are
-independent of grouping order.
+One refinement pass serves every measurement.  At position t it regroups
+the rows of each surviving prefix group by their next token, keyed by the
+1-D integer ``group_id * k_max + token`` (sorted, that is (group, token)
+order).  Groups that become singletons contribute zero to every later
+position and are dropped, which keeps full-corpus analysis fast beyond the
+entropy cliff.  Each position yields H(x_t | x_<t) and the prefix-joint
+entropy H(x_<t+1), which gives the exact bound; after the last position
+the surviving groups plus one count per dropped singleton are the
+full-row multiplicities, whose entropy is ``joint_bits``.  :func:`analyze`
+runs the pass once; :func:`joint_entropy` and :func:`chain_rule_check`
+keep an independent full-row ``np.unique`` as the oracle.
+
+Exactness: every term ``(c/n) * log2(c/n)`` uses ``math.log2`` (evaluated
+once per distinct ratio), and every sum is exactly rounded: ``math.fsum``,
+or a single IEEE add for a group of at most two children.  So results are
+independent of grouping order and equal the naive definitions bit for bit,
+signed zeros included: a one-child group gives -0.0, and the joint entropy
+of identical rows is -0.0.
 """
 
 from __future__ import annotations
 
 import csv
-import json
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import TokenCorpus
+from .corpus import TokenCorpus, atomic_write
 from .quantizer import utilization_profile
-from .schedule import Schedule, codebook_sizes
+from .schedule import Schedule, capacity_report, codebook_sizes
 
 __all__ = [
     "EntropyProfile",
@@ -52,69 +65,85 @@ def entropy_from_counts(counts) -> float:
     return -math.fsum((c / n) * math.log2(c / n) for c in counts)
 
 
-def _refinement_pass(tokens: np.ndarray):
-    """Yield per position: (list of (group_total, child_counts), n_singletons).
+def refine_groups(gids: np.ndarray, column: np.ndarray, k: int):
+    """One prefix-refinement step: regroup rows by (group id, next token).
 
-    ``child_counts`` are the next-token counts within one surviving prefix
-    group; ``n_singletons`` counts rows already in singleton groups before
-    this position is consumed.
+    Rows are keyed by the 1-D integer ``gids * k + column`` (``column`` in
+    [0, k)), which sorts in (group id, token) order.  Returns ``np.unique``'s
+    sorted keys, the new group id of every row (the rank of its key) and the
+    size of every new group.
+    """
+    keys, inverse, counts = np.unique(
+        gids * k + column, return_inverse=True, return_counts=True
+    )
+    return keys, inverse.reshape(-1), counts  # numpy 2.0.0 shaped inverse (n, 1)
+
+
+def _xlog2x(ratios: np.ndarray) -> np.ndarray:
+    """``r * math.log2(r)`` for every ratio, calling math.log2 once per distinct r."""
+    distinct, inverse = np.unique(ratios, return_inverse=True)
+    logs = np.array([math.log2(r) for r in distinct.tolist()], dtype=np.float64)
+    return ratios * logs[inverse.reshape(-1)]
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """What one refinement pass measures; see :func:`_refinement_pass`."""
+
+    conditional: list[float]  # H(x_t | x_<t) for t = 0 .. L-1
+    prefix_joint: list[float]  # H(x_<t) for t = 0 .. L
+    joint: float  # H(x_1..L), from the full-row count multiset
+
+
+def _refinement_pass(tokens: np.ndarray, k: int) -> _Sweep:
+    """Group rows by prefix, one position at a time, and measure each step.
+
+    At position t the rows of every surviving prefix group are split by
+    their token (:func:`refine_groups`).  Rows whose group became a
+    singleton contribute no conditional entropy at any later position and
+    are dropped; they are counted in ``n_singletons``.  After the last
+    position the child counts plus ``n_singletons`` ones are the multiset
+    of full-row multiplicities, which gives the joint entropy.
     """
     n, length = tokens.shape
     rows = np.arange(n)
     gids = np.zeros(n, dtype=np.int64)
     n_singletons = 0
+    conditional: list[float] = []
+    prefix_joint = [0.0]
     for t in range(length):
-        groups = []
-        if rows.size:
-            col = tokens[rows, t]
-            pairs = np.column_stack((gids, col))
-            uniq, inverse, counts = np.unique(
-                pairs, axis=0, return_inverse=True, return_counts=True
-            )
-            inverse = inverse.reshape(-1)  # numpy 2.0.0 returned (n, 1) here
-            parents = uniq[:, 0]
-            # children of one parent group are contiguous (unique sorts pairs)
-            start = 0
-            while start < len(parents):
-                end = start
-                while end < len(parents) and parents[end] == parents[start]:
-                    end += 1
-                child = counts[start:end]
-                groups.append((int(child.sum()), child))
-                start = end
-        yield groups, n_singletons
-        if rows.size:
-            keep = counts[inverse] > 1
-            n_singletons += int((~keep).sum())
-            rows = rows[keep]
-            gids = inverse[keep]
+        singleton_term = n_singletons * ((1.0 / n) * math.log2(n)) if n_singletons else 0.0
+        if not rows.size:
+            conditional.append(0.0)
+            prefix_joint.append(singleton_term)
+            continue
+        keys, inverse, counts = refine_groups(gids, tokens[rows, t], k)
+        parents = keys // k
+        starts = np.flatnonzero(np.concatenate(([True], parents[1:] != parents[:-1])))
+        totals = np.add.reduceat(counts, starts)
+        n_children = np.diff(np.append(starts, counts.size))
+        # (c/T) log2(c/T) of every child c of a group of T rows, summed per
+        # group: a one- or two-term add is exactly rounded, longer groups fsum
+        inner = _xlog2x(counts / np.repeat(totals, n_children))
+        group_sums = np.add.reduceat(inner, starts)
+        for g in np.flatnonzero(n_children > 2).tolist():
+            group_sums[g] = math.fsum(inner[starts[g] : starts[g] + n_children[g]].tolist())
+        conditional.append(math.fsum(((totals / n) * -group_sums).tolist()))
+        terms = _xlog2x(counts / n)  # (c/n) log2(c/n)
+        prefix_joint.append(math.fsum((-terms).tolist()) + singleton_term)
+        keep = counts[inverse] > 1
+        n_singletons += rows.size - int(np.count_nonzero(keep))
+        rows = rows[keep]
+        gids = inverse[keep]
+    # full-row multiplicities: every surviving group, and one per singleton
+    _, full_rows = np.unique(gids, return_counts=True)
+    joint = entropy_from_counts(full_rows.tolist() + [1] * n_singletons)
+    return _Sweep(conditional, prefix_joint, joint)
 
 
 def conditional_entropy_profile(corpus: TokenCorpus) -> list[float]:
     """H(x_t | x_<t) for every position, in bits, by exact counting."""
-    n = corpus.n_samples
-    out = []
-    for groups, _ in _refinement_pass(corpus.tokens):
-        out.append(
-            math.fsum(
-                (total / n) * entropy_from_counts(child) for total, child in groups
-            )
-        )
-    return out
-
-
-def _prefix_joint_entropies(corpus: TokenCorpus) -> list[float]:
-    """H(x_<t) for t = 0 .. L, i.e. joint entropy of the first t columns."""
-    n = corpus.n_samples
-    out = [0.0]
-    for groups, n_singletons in _refinement_pass(corpus.tokens):
-        # entropy of the refined grouping after consuming position t
-        terms = []
-        for _, child in groups:
-            terms.extend(-(c / n) * math.log2(c / n) for c in child)
-        singleton_term = n_singletons * ((1.0 / n) * math.log2(n)) if n_singletons else 0.0
-        out.append(math.fsum(terms) + singleton_term)
-    return out
+    return _refinement_pass(corpus.tokens, corpus.k_max).conditional
 
 
 def joint_entropy(corpus: TokenCorpus) -> float:
@@ -138,13 +167,7 @@ def remaining_budget(schedule: Schedule, n_samples: int) -> list[float]:
     """max(0, log2 N - I(t)) for t = 0 .. L-1, the unspent bits per position."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    log_n = math.log2(n_samples)
-    out = []
-    total = 0.0
-    for k in codebook_sizes(schedule):
-        out.append(max(0.0, log_n - total))
-        total += math.log2(k)
-    return out
+    return capacity_report(schedule, n_samples).remaining_budget
 
 
 @dataclass(frozen=True)
@@ -177,6 +200,16 @@ def prop1_bounds(
     corpus plus schedule, or with (schedule, n_samples) for the uniform
     bound only.
     """
+    return _bounds(corpus, schedule, n_samples, None)
+
+
+def _bounds(
+    corpus: TokenCorpus | None,
+    schedule: Schedule | None,
+    n_samples: int | None,
+    sweep: _Sweep | None,
+) -> Prop1Bounds:
+    """:func:`prop1_bounds`, reading H(x_<t) from ``sweep`` when one is given."""
     if corpus is None and (schedule is None or n_samples is None):
         raise ValueError("need a corpus, or both a schedule and n_samples")
     n = corpus.n_samples if corpus is not None else int(n_samples)
@@ -199,7 +232,9 @@ def prop1_bounds(
     prop1 = [max(0.0, log_n - i * log_k) for i in range(length)]
     exact = None
     if corpus is not None:
-        prefix = _prefix_joint_entropies(corpus)
+        if sweep is None:
+            sweep = _refinement_pass(corpus.tokens, corpus.k_max)
+        prefix = sweep.prefix_joint
         exact = [
             min(math.log2(sizes[i]), log_n - prefix[i]) for i in range(length)
         ]
@@ -252,15 +287,15 @@ def analyze(
     """
     if schedule is None:
         schedule = Schedule("constant", corpus.k_max, corpus.k_max, corpus.length)
-    conditional = conditional_entropy_profile(corpus)
-    bounds = prop1_bounds(corpus, schedule)
+    sweep = _refinement_pass(corpus.tokens, corpus.k_max)
+    bounds = _bounds(corpus, schedule, None, sweep)
     return EntropyProfile(
-        conditional_bits=conditional,
-        joint_bits=joint_entropy(corpus),
+        conditional_bits=sweep.conditional,
+        joint_bits=sweep.joint,
         remaining_budget=remaining_budget(schedule, corpus.n_samples),
         prop1_bound=bounds.prop1,
         exact_bound=bounds.exact,
-        cliff_position=cliff_position(conditional, cliff_threshold),
+        cliff_position=cliff_position(sweep.conditional, cliff_threshold),
         utilization=utilization_profile(corpus, schedule),
         cliff_threshold=cliff_threshold,
         n_samples=corpus.n_samples,
@@ -271,22 +306,23 @@ def analyze(
 
 def write_profile_csv(profile: EntropyProfile, path: str | Path) -> None:
     """CSV columns: t, H_bits, remaining_budget, prop1_bound, exact_bound, utilization."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["t", "H_bits", "remaining_budget", "prop1_bound", "exact_bound", "utilization"]
+    )
+    for t in range(len(profile.conditional_bits)):
         writer.writerow(
-            ["t", "H_bits", "remaining_budget", "prop1_bound", "exact_bound", "utilization"]
+            [
+                t,
+                f"{profile.conditional_bits[t]:.12g}",
+                f"{profile.remaining_budget[t]:.12g}",
+                f"{profile.prop1_bound[t]:.12g}",
+                f"{profile.exact_bound[t]:.12g}",
+                f"{profile.utilization[t]:.12g}",
+            ]
         )
-        for t in range(len(profile.conditional_bits)):
-            writer.writerow(
-                [
-                    t,
-                    f"{profile.conditional_bits[t]:.12g}",
-                    f"{profile.remaining_budget[t]:.12g}",
-                    f"{profile.prop1_bound[t]:.12g}",
-                    f"{profile.exact_bound[t]:.12g}",
-                    f"{profile.utilization[t]:.12g}",
-                ]
-            )
+    atomic_write(path, buf.getvalue().encode())
 
 
 def profile_summary(profile: EntropyProfile) -> dict:
@@ -302,7 +338,3 @@ def profile_summary(profile: EntropyProfile) -> dict:
         "prop1_approximate": profile.prop1_approximate,
     }
 
-
-def save_profile(profile: EntropyProfile, csv_path: str | Path, json_path: str | Path) -> None:
-    write_profile_csv(profile, csv_path)
-    Path(json_path).write_text(json.dumps(profile_summary(profile), indent=2, sort_keys=True) + "\n")

@@ -44,6 +44,7 @@ from numbers import Real
 import numpy as np
 
 from .corpus import TokenCorpus
+from .entropy import refine_groups
 from .schedule import Schedule, codebook_size_at, codebook_sizes
 
 __all__ = [
@@ -472,25 +473,31 @@ def memorization_report(
             f"sequence lengths differ: generated {generated.length}, "
             f"training {training.length}"
         )
-    length = training.length
-    prefix_sets: list[set[bytes]] = []
-    for ell in range(1, length + 1):
-        prefix_sets.append({row[:ell].tobytes() for row in training.tokens})
-    full = prefix_sets[-1]
-    matches = 0
-    prefix_total = 0
-    for row in generated.tokens:
-        if row.tobytes() in full:
-            matches += 1
-        longest = 0
-        for ell in range(1, length + 1):
-            if row[:ell].tobytes() in prefix_sets[ell - 1]:
-                longest = ell
-            else:
-                break
-        prefix_total += longest
+    # group generated and training rows together by prefix; a generated
+    # row's prefix of length t+1 occurs in training while its group holds a
+    # training row, and groups without both kinds of row are dropped
     n = generated.n_samples
-    return matches / n, prefix_total / n
+    k = max(generated.k_max, training.k_max)
+    tokens = np.concatenate((generated.tokens, training.tokens))
+    rows = np.arange(tokens.shape[0])
+    gids = np.zeros(rows.size, dtype=np.int64)
+    prefix_total = 0
+    matched = n
+    for t in range(training.length):
+        keys, inverse, _ = refine_groups(gids, tokens[rows, t], k)
+        is_generated = rows < n
+        has_generated = np.zeros(keys.size, dtype=bool)
+        has_generated[inverse[is_generated]] = True
+        has_training = np.zeros(keys.size, dtype=bool)
+        has_training[inverse[~is_generated]] = True
+        keep = (has_generated & has_training)[inverse]
+        rows = rows[keep]
+        gids = inverse[keep]
+        matched = int(np.count_nonzero(rows < n))  # generated rows matching t+1 tokens
+        prefix_total += matched
+        if not matched:
+            break
+    return matched / n, prefix_total / n
 
 
 def policy_to_json(policy: GuidancePolicy) -> dict:

@@ -356,16 +356,25 @@ def utilization_profile(tokens_corpus: TokenCorpus, schedule: Schedule) -> list[
             f"corpus length {tokens_corpus.length} does not match schedule "
             f"length {schedule.length}"
         )
-    out = []
-    for t, k_t in enumerate(codebook_sizes(schedule)):
-        observed = np.unique(tokens_corpus.tokens[:, t])
-        if observed[-1] >= k_t:
-            raise ValueError(
-                f"position {t}: token {int(observed[-1])} >= K_t {k_t}; corpus "
-                f"does not match this schedule"
-            )
-        out.append(len(observed) / k_t)
-    return out
+    sizes = codebook_sizes(schedule)
+    tokens = tokens_corpus.tokens
+    top = tokens.max(axis=0)
+    bad = np.flatnonzero(top >= np.asarray(sizes))
+    if bad.size:
+        t = int(bad[0])
+        raise ValueError(
+            f"position {t}: token {int(top[t])} >= K_t {sizes[t]}; corpus "
+            f"does not match this schedule"
+        )
+    # mark every observed (t, token) in one mask of sum(K_t) cells, position
+    # t's cells starting at offsets[t]; row blocks bound the index memory
+    offsets = np.cumsum([0] + sizes[:-1])
+    seen = np.zeros(sum(sizes), dtype=bool)
+    block = max(1, 2**20 // tokens_corpus.length)
+    for start in range(0, tokens_corpus.n_samples, block):
+        seen[tokens[start : start + block] + offsets] = True
+    observed = np.add.reduceat(seen, offsets, dtype=np.int64).tolist()
+    return [count / k_t for count, k_t in zip(observed, sizes)]
 
 
 def write_codebook(codebook: Codebook, path: str | Path) -> None:

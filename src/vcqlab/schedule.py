@@ -14,11 +14,14 @@ budget (I(t) >= log2 N).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+
+from .corpus import atomic_write
 
 __all__ = [
     "Family",
@@ -274,7 +277,7 @@ def schedule_from_json(data: dict) -> Schedule:
 
 
 def save_schedule(schedule: Schedule, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(schedule_to_json(schedule), indent=2) + "\n")
+    atomic_write(path, (json.dumps(schedule_to_json(schedule), indent=2) + "\n").encode())
 
 
 def load_schedule(path: str | Path) -> Schedule:
@@ -283,19 +286,20 @@ def load_schedule(path: str | Path) -> Schedule:
 
 def write_capacity_csv(report: CapacityReport, path: str | Path) -> None:
     """Per-position curve as CSV: t, K_t, bits, cumulative_bits, remaining_budget."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "K_t", "bits", "cumulative_bits", "remaining_budget"])
-        for t, k in enumerate(report.sizes):
-            writer.writerow(
-                [
-                    t,
-                    k,
-                    f"{report.bits_per_position[t]:.12g}",
-                    f"{report.cumulative[t + 1]:.12g}",
-                    f"{report.remaining_budget[t]:.12g}",
-                ]
-            )
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "K_t", "bits", "cumulative_bits", "remaining_budget"])
+    for t, k in enumerate(report.sizes):
+        writer.writerow(
+            [
+                t,
+                k,
+                f"{report.bits_per_position[t]:.12g}",
+                f"{report.cumulative[t + 1]:.12g}",
+                f"{report.remaining_budget[t]:.12g}",
+            ]
+        )
+    atomic_write(path, buf.getvalue().encode())
 
 
 def capacity_summary(report: CapacityReport) -> dict:

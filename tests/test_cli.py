@@ -170,6 +170,33 @@ class TestPipelineCommands:
         h_column = [line.split(",")[1] for line in csv_path.read_text().splitlines()[1:]]
         assert all(float(h) == 0.0 for h in h_column)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schedule", "--preset", "cosine"],
+            ["tstar"],
+            ["analyze", "--corpus", "{flat}"],
+            ["memorization", "--generated", "{flat}", "--training", "{flat}"],
+        ],
+        ids=["schedule", "tstar", "analyze", "memorization"],
+    )
+    def test_out_file_equals_json_output(self, tmp_path, capsys, argv):
+        import numpy as np
+
+        from vcqlab.corpus import TokenCorpus, write_corpus
+
+        flat = tmp_path / "flat.vcqt"
+        write_corpus(TokenCorpus(tokens=np.tile([1, 2, 3], (12, 1)), k_max=8), flat)
+        argv = [a.format(flat=flat) for a in argv]
+        assert main(argv + ["--json"]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "summary.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == printed
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["flat.vcqt", "summary.json"]
+        if argv[0] == "analyze":  # identical rows: the sign of zero survives
+            assert '"joint_bits": -0.0' in printed
+
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         assert main(["analyze", "--corpus", str(tmp_path / "missing.vcqt")]) == 2
 

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from vcqlab.corpus import CORPUS_MAGIC, TokenCorpus, atomic_write, read_corpus, write_corpus
+from vcqlab.entropy import analyze, write_profile_csv
 from vcqlab.quantizer import Codebook, write_codebook
+from vcqlab.schedule import SCHEDULE_PRESETS, capacity_report, save_schedule, write_capacity_csv
 
 from conftest import random_corpus
 
@@ -84,23 +86,51 @@ class TestCorpusFile:
         assert [p.name for p in tmp_path.iterdir()] == ["c.vcqt"]
 
 
+def _fail_rename(src, dst):
+    raise OSError("simulated rename failure")
+
+
+CSV_WRITERS = {
+    "profile_csv": lambda path, seed: write_profile_csv(
+        analyze(random_corpus(seed, 6, 4, 4)), path
+    ),
+    "capacity_csv": lambda path, seed: write_capacity_csv(
+        capacity_report(SCHEDULE_PRESETS["cosine"], 1000 + seed), path
+    ),
+}
+
+
 class TestAtomicWrite:
     @pytest.mark.parametrize(
         "write",
         [
             lambda path: write_corpus(random_corpus(5, 4, 4, 4), path),
             lambda path: write_codebook(Codebook(entries=np.ones((4, 2))), path),
+            lambda path: CSV_WRITERS["profile_csv"](path, 5),
+            lambda path: CSV_WRITERS["capacity_csv"](path, 5),
+            lambda path: save_schedule(SCHEDULE_PRESETS["cosine"], path),
         ],
-        ids=["corpus", "codebook"],
+        ids=["corpus", "codebook", "profile_csv", "capacity_csv", "schedule_json"],
     )
     def test_failed_write_leaves_nothing_behind(self, tmp_path, monkeypatch, write):
-        def fail(src, dst):
-            raise OSError("simulated rename failure")
-
-        monkeypatch.setattr(os, "replace", fail)
+        monkeypatch.setattr(os, "replace", _fail_rename)
         with pytest.raises(OSError, match="simulated"):
             write(tmp_path / "out.bin")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", sorted(CSV_WRITERS))
+    def test_failed_csv_write_keeps_target(self, tmp_path, monkeypatch, name):
+        target = tmp_path / "out.csv"
+        CSV_WRITERS[name](target, 1)
+        before = target.read_bytes()
+        monkeypatch.setattr(os, "replace", _fail_rename)
+        with pytest.raises(OSError, match="simulated"):
+            CSV_WRITERS[name](target, 2)  # different content
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert target.read_bytes() == before
+        monkeypatch.undo()
+        CSV_WRITERS[name](target, 2)
+        assert target.read_bytes() != before
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         target = tmp_path / "out.bin"

@@ -16,7 +16,8 @@ from vcqlab.entropy import (
     remaining_budget,
     write_profile_csv,
 )
-from vcqlab.schedule import Family, Schedule
+from vcqlab.generation import memorization_report
+from vcqlab.schedule import SCHEDULE_PRESETS, Family, Schedule, codebook_sizes
 
 from conftest import random_corpus
 
@@ -237,3 +238,205 @@ class TestAnalyze:
         summary = profile_summary(profile)
         assert summary["cliff_position"] == profile.cliff_position
         assert summary["joint_bits"] == profile.joint_bits
+
+
+def oracle_prefix_entropy(tokens, t):
+    """H(x_<t) by counting length-t prefixes as tuples.
+
+    Mirrors the engine's arithmetic: a prefix class whose parent class (one
+    token shorter) had one row is folded into the singleton term
+    ``n_s * ((1/n) * log2 n)``, every other class adds ``-(c/n) log2(c/n)``;
+    no row counts as a singleton before position 0 is read.
+    """
+    if t == 0:
+        return 0.0
+    n = len(tokens)
+    rows = [tuple(int(x) for x in row) for row in tokens]
+    parent = Counter(row[: t - 1] for row in rows)
+    child = Counter(row[:t] for row in rows)
+    terms = [
+        -(c / n) * math.log2(c / n)
+        for prefix, c in child.items()
+        if t == 1 or parent[prefix[:-1]] > 1
+    ]
+    n_single = sum(1 for row in rows if t > 1 and parent[row[: t - 1]] == 1)
+    singleton_term = n_single * ((1.0 / n) * math.log2(n)) if n_single else 0.0
+    return math.fsum(terms) + singleton_term
+
+
+def old_memorization_report(generated, training):
+    """The set-of-byte-prefixes reference for memorization_report."""
+    length = training.length
+    prefix_sets = [
+        {row[:ell].tobytes() for row in training.tokens} for ell in range(1, length + 1)
+    ]
+    matches = 0
+    prefix_total = 0
+    for row in generated.tokens:
+        if row.tobytes() in prefix_sets[-1]:
+            matches += 1
+        longest = 0
+        for ell in range(1, length + 1):
+            if row[:ell].tobytes() in prefix_sets[ell - 1]:
+                longest = ell
+            else:
+                break
+        prefix_total += longest
+    n = generated.n_samples
+    return matches / n, prefix_total / n
+
+
+def _engine_corpus(kind, seed):
+    """Random corpora of the shapes the single-pass engine must get right."""
+    rng = np.random.default_rng((seed, 17))
+    n = int(rng.integers(2, 80))
+    length = int(rng.integers(1, 9))
+    k = int(rng.integers(2, 6))
+    if kind == "duplicated":
+        base = rng.integers(0, k, size=(max(1, n // 4), length))
+        tokens = base[rng.integers(0, len(base), size=n)]
+    elif kind == "n1":
+        tokens = rng.integers(0, k, size=(1, length))
+    elif kind == "l1":
+        tokens = rng.integers(0, k, size=(n, 1))
+    elif kind == "k1":
+        k = 1
+        tokens = np.zeros((n, length), dtype=np.int64)
+    elif kind == "identical":
+        tokens = np.tile(rng.integers(0, k, size=length), (n, 1))
+    else:  # "singleton_tail": shared prefix, then every row distinct
+        k = 64
+        length = max(length, 4)
+        tokens = np.zeros((n, length), dtype=np.int64)
+        tokens[:, 1] = rng.integers(0, 2, size=n)
+        tokens[:, 2:] = rng.integers(0, k, size=(n, length - 2))
+        tokens[:, 2] = rng.permutation(k)[:n] if n <= k else rng.integers(0, k, size=n)
+    return TokenCorpus(tokens=tokens, k_max=k)
+
+
+ENGINE_KINDS = ["duplicated", "n1", "l1", "k1", "identical", "singleton_tail"]
+
+
+class TestEngineOracle:
+    """analyze's single refinement pass against independent definitions."""
+
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_analyze_matches_oracles_bit_for_bit(self, kind):
+        for seed in range(12):
+            corpus = _engine_corpus(kind, seed)
+            tokens = corpus.tokens
+            profile = analyze(corpus)
+            assert profile.conditional_bits == oracle_conditional_profile(tokens)
+            joint = joint_entropy(corpus)
+            assert repr(profile.joint_bits) == repr(joint)  # the sign of zero counts
+            assert math.copysign(1.0, profile.joint_bits) == math.copysign(1.0, joint)
+            log_n = math.log2(corpus.n_samples)
+            exact = [
+                min(math.log2(corpus.k_max), log_n - oracle_prefix_entropy(tokens, t))
+                for t in range(corpus.length)
+            ]
+            assert profile.exact_bound == exact
+            assert prop1_bounds(corpus).exact == exact
+            naive_util = [
+                len(np.unique(tokens[:, t])) / corpus.k_max for t in range(corpus.length)
+            ]
+            assert profile.utilization == naive_util
+
+    def test_exact_bound_past_the_cliff(self):
+        # most rows become singletons after one or two positions, so H(x_<t)
+        # leans on the singleton term
+        for seed in range(200):
+            rng = np.random.default_rng((seed, 29))
+            n = int(rng.integers(2, 300))
+            k = int(rng.integers(2, 30))
+            corpus = random_corpus((seed, 29), n, int(rng.integers(3, 6)), k)
+            log_n = math.log2(n)
+            assert analyze(corpus).exact_bound == [
+                min(math.log2(k), log_n - oracle_prefix_entropy(corpus.tokens, t))
+                for t in range(corpus.length)
+            ]
+
+    def test_identical_rows_joint_is_negative_zero(self):
+        corpus = TokenCorpus(tokens=np.tile([2, 0, 1], (5, 1)), k_max=3)
+        profile = analyze(corpus)
+        assert repr(profile.joint_bits) == "-0.0"
+        assert repr(joint_entropy(corpus)) == "-0.0"
+        assert profile.conditional_bits == [0.0, 0.0, 0.0]
+        assert all(math.copysign(1.0, h) == 1.0 for h in profile.conditional_bits)
+
+    def test_cosine_schedule_utilization_and_bounds(self, rng):
+        sched = Schedule(Family.COSINE, 2, 32, 10)
+        sizes = codebook_sizes(sched)
+        base = np.stack([rng.integers(0, k, size=30) for k in sizes], axis=1)
+        tokens = base[rng.integers(0, 30, size=120)]
+        corpus = TokenCorpus(tokens=tokens, k_max=32)
+        profile = analyze(corpus, sched)
+        assert profile.utilization == [
+            len(np.unique(tokens[:, t])) / sizes[t] for t in range(10)
+        ]
+        log_n = math.log2(120)
+        assert profile.exact_bound == [
+            min(math.log2(sizes[t]), log_n - oracle_prefix_entropy(tokens, t))
+            for t in range(10)
+        ]
+
+    def test_mismatched_schedule_still_raises(self):
+        corpus = TokenCorpus(tokens=np.array([[0, 3], [1, 2]]), k_max=4)
+        sched = Schedule(Family.CONSTANT, 2, 2, 2)
+        with pytest.raises(ValueError, match="position 1: token 3 >= K_t 2"):
+            analyze(corpus, sched)
+
+    def test_memorization_matches_set_reference(self):
+        for seed in range(60):
+            rng = np.random.default_rng((seed, 23))
+            length = int(rng.integers(1, 7))
+            k = int(rng.integers(1, 5))
+            train = rng.integers(0, k, size=(int(rng.integers(1, 25)), length))
+            gen = rng.integers(0, k, size=(int(rng.integers(1, 25)), length))
+            for i in range(len(gen)):  # copy training prefixes of every length
+                if rng.random() < 0.5:
+                    cut = int(rng.integers(0, length + 1))
+                    gen[i, :cut] = train[rng.integers(len(train)), :cut]
+            generated = TokenCorpus(tokens=gen, k_max=k + int(rng.integers(0, 3)))
+            training = TokenCorpus(tokens=train, k_max=k)
+            for a, b in ((generated, training), (training, generated), (training, training)):
+                got = memorization_report(a, b)
+                want = old_memorization_report(a, b)
+                assert repr(got) == repr(want)
+
+    def test_remaining_budget_equals_running_sum(self):
+        for sched in SCHEDULE_PRESETS.values():
+            for n in (1, 2, 1000, 1_281_167, 10**9):
+                log_n = math.log2(n)
+                want, total = [], 0.0
+                for k in codebook_sizes(sched):
+                    want.append(max(0.0, log_n - total))
+                    total += math.log2(k)
+                assert remaining_budget(sched, n) == want
+        with pytest.raises(ValueError, match="n_samples"):
+            remaining_budget(SCHEDULE_PRESETS["cosine"], 0)
+
+
+def test_chain_rule_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        st.integers(1, 4).flatmap(
+            lambda length: st.lists(
+                st.lists(st.integers(0, 3), min_size=length, max_size=length),
+                min_size=1,
+                max_size=40,
+            )
+        )
+    )
+    def check(rows):
+        corpus = TokenCorpus(tokens=np.array(rows), k_max=4)
+        total, joint, gap = chain_rule_check(corpus)
+        assert gap < 1e-9
+        profile = analyze(corpus)
+        assert repr(profile.joint_bits) == repr(joint)
+        assert abs(math.fsum(profile.conditional_bits) - profile.joint_bits) < 1e-9
+
+    check()
