@@ -188,22 +188,16 @@ def cmd_tstar(args) -> int:
 def cmd_fit(args) -> int:
     config = _load_json_arg(args.config)
     schedule = _resolve_schedule(args.schedule)
-    dataset = toylab.generate_dataset(toylab.SyntheticSpec(**config["dataset"]))
-    enc_cfg = config["encoder"]
-    encoder = toylab.fit_encoder(
-        dataset.images, patch_size=int(enc_cfg["patch_size"]), d=int(enc_cfg["dim"])
-    )
-    latents = encoder.encode_images(dataset.images)
-    fit_cfg = config.get("codebook", {})
-    seed = args.seed if args.seed is not None else int(fit_cfg.get("seed", 0))
+    dataset, encoder = toylab.build_inputs(config)
+    options = toylab.codebook_options(config)
+    if args.seed is not None:
+        options["seed"] = args.seed
     codebook = quant_mod.fit_codebook(
-        latents,
+        encoder.encode_images(dataset.images),
         schedule,
         k_max=schedule.k_max,
         d=encoder.dim,
-        epochs=int(fit_cfg.get("epochs", 20)),
-        decay=float(fit_cfg.get("decay", 0.99)),
-        seed=seed,
+        **options,
     )
     quant_mod.write_codebook(codebook, args.out)
     print(f"wrote codebook ({codebook.k_max} x {codebook.dim}) to {args.out}")
@@ -214,11 +208,7 @@ def cmd_tokenize(args) -> int:
     config = _load_json_arg(args.config)
     schedule = _resolve_schedule(args.schedule)
     codebook = quant_mod.read_codebook(args.codebook)
-    dataset = toylab.generate_dataset(toylab.SyntheticSpec(**config["dataset"]))
-    enc_cfg = config["encoder"]
-    encoder = toylab.fit_encoder(
-        dataset.images, patch_size=int(enc_cfg["patch_size"]), d=int(enc_cfg["dim"])
-    )
+    dataset, encoder = toylab.build_inputs(config)
     corpus = toylab.tokenize_dataset(dataset, encoder, schedule, codebook)
     write_corpus(corpus, args.out)
     print(f"wrote corpus ({corpus.n_samples} x {corpus.length}) to {args.out}")

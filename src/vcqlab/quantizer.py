@@ -17,6 +17,15 @@ lies within rounding error of it to an exhaustive rescan with the reference
 formula.  Reported distances always come from the reference formula, so
 every entry point returns the same bits for the same latent.
 
+:func:`fit_codebook` prunes its assignment passes with Hamerly's bounds: the
+kernel also returns an upper bound on each latent's distance to its entry
+and a lower bound on its distance to every other entry of its prefix; the
+triangle inequality carries both across an epoch's entry moves, and a latent
+whose upper bound, widened by a rounding margin, stays below its lower bound
+keeps its token unscored.  Its entry is then strictly nearest under the
+reference distance too, so the fitted codebook is bit for bit the one that
+scoring every latent every epoch gives (proof in :func:`fit_codebook`).
+
 Codebook files are little-endian binary:
 
     magic   "VCQC"  (4 bytes)
@@ -62,6 +71,17 @@ _HEADER = struct.Struct("<4sHII")
 _BLOCK = 1 << 16
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SMALLEST_SUBNORMAL = float(np.nextafter(0.0, 1.0))
+# Least upper bound _nearest returns: with ub**2 * u >= 2 eta, fit_codebook's
+# pruning margin outweighs the underflow of the reference distance.
+_UB_FLOOR = 2.0**-510
+# Directed rounding: a correctly rounded product x * _UP (x * _DOWN) of the
+# correctly rounded result x of a positive real y, normal or exact, is at
+# least (at most) y, since (1 - u)**2 (1 + 4u) > 1 > (1 + u)**2 (1 - 4u).
+_UP = 1.0 + 4 * _UNIT_ROUNDOFF
+_DOWN = 1.0 - 4 * _UNIT_ROUNDOFF
+# Rows per kernel call when fit_codebook rescores the latents of one K_t:
+# bounds the gathered copy of their [z, 1] rows to 2**15 (d+1) floats.
+_CHUNK = 1 << 15
 
 
 @dataclass
@@ -118,13 +138,18 @@ def _with_ones(latents: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nearest(z1: np.ndarray, entries: np.ndarray, table: np.ndarray, k_t: int) -> np.ndarray:
+def _nearest(
+    z1: np.ndarray, entries: np.ndarray, table: np.ndarray, k_t: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index of the nearest of ``entries[:k_t]`` to each row ``[z, 1]`` of ``z1``.
 
     ``entries`` is the float64 codebook and ``table`` its (d+1, k) score
-    matrix ``[-2 E^T; |e|^2]``.  Returns the index minimizing the reference
-    distance R_k = ``_sqdist(e_k, z)``, lowest index on ties, exactly as an
-    exhaustive scan would.
+    matrix ``[-2 E^T; |e|^2]``.  Returns ``(tokens, ub, lb)``: the index
+    minimizing the reference distance R_k = ``_sqdist(e_k, z)``, lowest index
+    on ties, exactly as an exhaustive scan would; an upper bound ``ub`` on
+    the true distance |z - e_token| and a lower bound ``lb`` on the true
+    distance |z - e_k| to every other k < k_t.  Rows that were rescanned get
+    ``(inf, 0)``.
 
     Score: one GEMM per block of rows gives the proxy s_k = |e_k|^2 - 2 z.e_k
     = D_k - |z|^2, where D_k = |z - e_k|^2.  Pick: the proxy's argmin b is
@@ -153,41 +178,66 @@ def _nearest(z1: np.ndarray, entries: np.ndarray, table: np.ndarray, k_t: int) -
     in reserve for the rounding of the gap, of |z|, of max |e_k| and of tol
     itself; the smallest subnormal eta covers products that underflow.  A
     NaN gap (infinite scores) fails the test too and is rescanned.
+
+    Why the bounds hold.  D_b = s_b + |z|^2 and fl(|z|^2) errs by at most
+    gamma_d |z|^2 <= gamma_{d+2} rho, so with lead = fl(s_b) and runner_up =
+    min_{k != b} fl(s_k), D_b <= lead + fl(|z|^2) + 3 gamma_{d+2} rho and
+    D_k >= runner_up + fl(|z|^2) - 3 gamma_{d+2} rho for every k != b.  tol
+    exceeds 3 gamma_{d+2} rho by more than (5 (d+2) - 1) u rho, and the two
+    rounded additions of each bound err by at most 4.1 u rho together (lead,
+    runner_up and fl(|z|^2) are at most (1 + 2 gamma_{d+2}) rho in size).
+    Fewer than 3 d products can underflow, each off by at most eta / 2:
+    where rho >= 2**-1021 the remaining reserve, at least (5 d + 4.9) eta,
+    covers them; below, each addition errs by at most eta and tol's
+    8 (d+2) eta term covers both.  So ``lead + fl(|z|^2) + tol`` and
+    ``max(0, runner_up + fl(|z|^2) - tol)``, as computed, bound D_b from
+    above and every other D_k from below, and their square roots, rounded
+    outward by ``_UP`` and ``_DOWN``, bound the distances.  ``ub`` is at
+    least ``_UB_FLOOR``: a larger upper bound is still one, and the floor
+    lets :func:`fit_codebook`'s pruning test ignore underflow.
     """
     n, d = z1.shape[0], z1.shape[1] - 1
     z = z1[:, :d]
-    rho = (np.sqrt(np.einsum("nd,nd->n", z, z)) + np.sqrt(table[d, :k_t].max())) ** 2
+    zz = np.einsum("nd,nd->n", z, z)
+    rho = (np.sqrt(zz) + np.sqrt(table[d, :k_t].max())) ** 2
     tol = 8 * (d + 2) * (_UNIT_ROUNDOFF * rho + _SMALLEST_SUBNORMAL)
     tokens = np.empty(n, dtype=np.int64)
-    unsure = np.empty(n, dtype=bool)
+    lead = np.empty(n)
+    runner_up = np.empty(n)
     rows = max(1, _BLOCK // k_t)
     for r0 in range(0, n, rows):
         r1 = min(n, r0 + rows)
         scores = z1[r0:r1] @ table[:, :k_t]
         at = np.arange(r1 - r0)
         best = scores.argmin(axis=1)
-        lead = scores[at, best]
-        scores[at, best] = np.inf
-        runner_up = scores[at, scores.argmin(axis=1)]
         tokens[r0:r1] = best
-        unsure[r0:r1] = ~(runner_up - lead > tol[r0:r1])
-    redo = np.flatnonzero(unsure)
+        lead[r0:r1] = scores[at, best]
+        scores[at, best] = np.inf
+        runner_up[r0:r1] = scores[at, scores.argmin(axis=1)]
+    ub = np.maximum(np.sqrt(lead + zz + tol) * _UP, _UB_FLOOR)
+    lb = np.sqrt(np.maximum(runner_up + zz - tol, 0.0)) * _DOWN
+    redo = np.flatnonzero(~(runner_up - lead > tol))
     for r0 in range(0, redo.size, rows):
         idx = redo[r0 : r0 + rows]
         tokens[idx] = _sqdist(entries[:k_t], z[idx, None, :]).argmin(axis=1)
-    return tokens
+    ub[redo] = np.inf
+    lb[redo] = 0.0
+    return tokens, ub, lb
 
 
-def _assign(z1s: np.ndarray, entries: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """Kernel tokens at every position: (L, n, d+1) rows -> (L, n) tokens.
-
-    Builds the score matrix of ``entries`` once for the whole pass.
-    """
+def _score_table(entries: np.ndarray) -> np.ndarray:
+    """The kernel's (d+1, k) score matrix ``[-2 E^T; |e|^2]``."""
     d = entries.shape[1]
     table = np.empty((d + 1, entries.shape[0]), dtype=np.float64)
     np.multiply(entries.T, -2.0, out=table[:d])
     table[d] = _sqdist(entries, 0.0)
-    return np.stack([_nearest(z1s[t], entries, table, k_t) for t, k_t in enumerate(sizes)])
+    return table
+
+
+def _assign(z1s: np.ndarray, entries: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Kernel tokens at every position: (L, n, d+1) rows -> (L, n) tokens."""
+    table = _score_table(entries)
+    return np.stack([_nearest(z1s[t], entries, table, k_t)[0] for t, k_t in enumerate(sizes)])
 
 
 def _check_latent(z: np.ndarray, dim: int) -> np.ndarray:
@@ -294,6 +344,42 @@ def fit_codebook(
 
     Entries with zero assignments over a full epoch are re-seeded from
     random latents and their averages reset.  Deterministic given ``seed``.
+
+    Pruning (Hamerly, 2010).  Each latent (t, i) carries its token b, an
+    upper bound ub >= |z - e_b| and a lower bound lb <= |z - e_k| for every
+    other k < K_t, both from :func:`_nearest`.  After an update moves entry
+    k by |e'_k - e_k| <= delta_k, the triangle inequality keeps them valid
+    as ub + delta_b and lb - max_{k<K_t} delta_k.  An epoch sends to the
+    kernel only the latents with not ub * (1 + 4 (d+2) u) < lb; the others
+    keep b, which is exactly the token a full scan would return:
+
+    * delta_k: the reference squared move M_k = ``_sqdist(e'_k, e_k)`` is
+      within gamma_{d+2} |e'_k - e_k|^2 + d eta of the true one; inflated
+      by the factor 1 + 4 (d+2) u and the term 4 (d+2) eta, both larger
+      than that error and than the two roundings, its square root times
+      ``_UP`` is at least |e'_k - e_k|.  Each rounded ub + delta_b is
+      multiplied by ``_UP`` and each rounded lb - max delta by ``_DOWN``
+      (ub stays normal above ``_UB_FLOOR``; a subnormal difference is
+      exact).
+    * The test's product is rounded once, so it gives |z - e_k| >= lb >
+      ub (1 + (4d + 6) u) and ub >= |z - e_b| for every k != b.  The
+      reference distance R_k errs by at most gamma_{d+2} |z - e_k|^2 + d eta
+      (one difference and one square rounded per term, d terms summed, each
+      square off by at most eta / 2 if it underflows).  So
+
+          R_k - R_b >= ub^2 ((1 - gamma_{d+2}) (1 + (4d + 6) u)^2
+                             - (1 + gamma_{d+2})) - 2 d eta
+                    >= (6 d + 7) u ub^2 - 2 d eta > 0,
+
+      because ub >= ``_UB_FLOOR`` makes u ub^2 >= 2 eta.  Every other entry
+      of the prefix is strictly farther under R, so the lowest-index tie
+      rule never comes into play.
+
+    Rows still to score are grouped across the positions of each K_t, one
+    kernel call per K_t and chunk of ``_CHUNK`` rows; a row's token does not
+    depend on the batch it is scored in, so the codebook is the same, bit
+    for bit, as with every latent scored every epoch.  The bound state is
+    three arrays of L n values.
     """
     if not isinstance(latent_corpus, np.ndarray):
         latent_corpus = np.stack([np.asarray(m, dtype=np.float64) for m in latent_corpus])
@@ -320,18 +406,36 @@ def fit_codebook(
     entries = flat[pick].astype(np.float64)
 
     sizes = codebook_sizes(schedule)
-    z1s = _with_ones(latents)
+    z1s = _with_ones(latents).reshape(length * n, d + 1)
     # one contiguous position-major column per dimension: a bincount over it
     # adds each entry's latents position by position, row by row
     columns = np.ascontiguousarray(latents.transpose(2, 1, 0)).reshape(d, length * n)
     ema_size = np.zeros(k_max, dtype=np.float64)
     ema_sum = np.zeros((k_max, d), dtype=np.float64)
-    for _ in range(epochs):
-        tokens = _assign(z1s, entries, sizes).ravel()
+
+    # position-major bound state; (inf, 0) sends every row to the kernel
+    tokens = np.zeros(length * n, dtype=np.int64)
+    ub = np.full(length * n, np.inf)
+    lb = np.zeros(length * n)
+    margin = 1.0 + 4 * (d + 2) * _UNIT_ROUNDOFF
+    # runs of positions with equal K_t as (K_t, first row, end row); K_t
+    # never decreases along a schedule, so there is one run per K_t
+    edges = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), length]
+    runs = [(sizes[a], a * n, b * n) for a, b in zip(edges, edges[1:])]
+    last = np.asarray(sizes) - 1
+    for epoch in range(epochs):
+        table = _score_table(entries)
+        stale = ~(ub * margin < lb)
+        for k_t, r0, r1 in runs:
+            idx = np.flatnonzero(stale[r0:r1]) + r0
+            for c0 in range(0, idx.size, _CHUNK):
+                chunk = idx[c0 : c0 + _CHUNK]
+                tokens[chunk], ub[chunk], lb[chunk] = _nearest(z1s[chunk], entries, table, k_t)
         counts = np.bincount(tokens, minlength=k_max)
         vecsum = np.stack(
             [np.bincount(tokens, weights=column, minlength=k_max) for column in columns], axis=1
         )
+        previous = entries.copy()
         ema_size = decay * ema_size + (1.0 - decay) * counts
         ema_sum = decay * ema_sum + (1.0 - decay) * vecsum
         live = ema_size > 0.0
@@ -342,6 +446,13 @@ def fit_codebook(
             entries[dead] = flat[reseed]
             ema_size[dead] = 0.0
             ema_sum[dead] = 0.0
+        if epoch + 1 < epochs:
+            moved = _sqdist(entries, previous) * margin + 4 * (d + 2) * _SMALLEST_SUBNORMAL
+            delta = np.sqrt(moved) * _UP
+            ub += delta[tokens]
+            ub *= _UP
+            lb -= np.repeat(np.maximum.accumulate(delta)[last], n)
+            lb *= _DOWN
     return Codebook(entries=entries.astype(np.float32))
 
 

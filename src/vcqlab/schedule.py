@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral, Real
 from pathlib import Path
 
 from .corpus import atomic_write
@@ -41,6 +42,7 @@ __all__ = [
     "save_schedule",
     "write_capacity_csv",
     "capacity_summary",
+    "config_int",
 ]
 
 # Positions whose cumulative capacity falls within this many bits of the
@@ -256,13 +258,26 @@ def schedule_to_json(schedule: Schedule) -> dict:
     return out
 
 
+def config_int(value, name: str) -> int:
+    """An integer config field: an int, or a float with an integral value.
+
+    Bools (a JSON ``true`` is not 1), other floats and non-numbers raise
+    ``ValueError`` naming the field; nothing is truncated.
+    """
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, Real) and not isinstance(value, bool) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def schedule_from_json(data: dict) -> Schedule:
     """Inverse of :func:`schedule_to_json`, with field validation."""
     try:
         family = data["family"]
-        k_min = int(data["k_min"])
-        k_max = int(data["k_max"])
-        length = int(data["length"])
+        k_min = config_int(data["k_min"], "k_min")
+        k_max = config_int(data["k_max"], "k_max")
+        length = config_int(data["length"], "length")
     except KeyError as exc:
         raise ValueError(f"schedule config missing field {exc}") from exc
     alpha = data.get("alpha")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .generation import (
     sample_corpus,
 )
 from .quantizer import Codebook, fit_codebook, quantize_batch, write_codebook
-from .schedule import Schedule, schedule_from_json, schedule_to_json, tstar_vcq
+from .schedule import Schedule, config_int, schedule_from_json, schedule_to_json, tstar_vcq
 
 __all__ = [
     "SyntheticSpec",
@@ -36,6 +36,8 @@ __all__ = [
     "ExperimentReport",
     "generate_dataset",
     "fit_encoder",
+    "build_inputs",
+    "codebook_options",
     "tokenize_dataset",
     "reconstruction_metrics",
     "psnr_from_mse",
@@ -178,18 +180,11 @@ class LinearEncoder:
         return np.clip(images, 0.0, 1.0)
 
 
-def fit_encoder(
-    images: np.ndarray,
-    patch_size: int,
-    d: int,
-    seed: int = 0,
-    max_patches: int | None = None,
-) -> LinearEncoder:
+def fit_encoder(images: np.ndarray, patch_size: int, d: int) -> LinearEncoder:
     """PCA over all patches: mean-centering plus top-d covariance eigenvectors.
 
     The sign convention (first non-negligible component positive) makes the
-    basis deterministic.  ``seed`` only matters when ``max_patches``
-    triggers subsampling.
+    basis deterministic.
     """
     images = np.asarray(images, dtype=np.float64)
     patches = _extract_patches(images, patch_size)
@@ -200,9 +195,6 @@ def fit_encoder(
         )
     if patches.shape[0] < d:
         raise ValueError(f"need at least {d} patches, got {patches.shape[0]}")
-    if max_patches is not None and patches.shape[0] > max_patches:
-        rng = np.random.default_rng(seed)
-        patches = patches[rng.choice(patches.shape[0], size=max_patches, replace=False)]
     mean = patches.mean(axis=0)
     centered = patches - mean
     cov = centered.T @ centered / max(1, patches.shape[0] - 1)
@@ -326,6 +318,40 @@ def _stage(stage: str, name: str, fn):
         ) from exc
 
 
+def build_inputs(config: dict) -> tuple[Dataset, LinearEncoder]:
+    """The dataset and fitted encoder every arm of ``config`` shares.
+
+    Unknown ``dataset`` keys and non-integer integer fields raise
+    ``ValueError`` before any work is done.
+    """
+    data_cfg = config["dataset"]
+    types = {f.name: f.type for f in fields(SyntheticSpec)}
+    unknown = sorted(set(data_cfg) - set(types))
+    if unknown:
+        raise ValueError(f"unknown dataset field {unknown[0]!r}")
+    spec = SyntheticSpec(
+        **{k: config_int(v, f"dataset.{k}") if types[k] == "int" else v for k, v in data_cfg.items()}
+    )
+    enc_cfg = config["encoder"]
+    patch_size = config_int(enc_cfg["patch_size"], "encoder.patch_size")
+    dim = config_int(enc_cfg["dim"], "encoder.dim")
+    dataset = _stage("dataset", "shared", lambda: generate_dataset(spec))
+    encoder = _stage(
+        "encoder", "shared", lambda: fit_encoder(dataset.images, patch_size=patch_size, d=dim)
+    )
+    return dataset, encoder
+
+
+def codebook_options(config: dict) -> dict:
+    """``epochs``, ``decay`` and ``seed`` for :func:`fit_codebook` from ``config``."""
+    fit_cfg = config.get("codebook", {})
+    return {
+        "epochs": config_int(fit_cfg.get("epochs", 20), "codebook.epochs"),
+        "decay": float(fit_cfg.get("decay", 0.99)),
+        "seed": config_int(fit_cfg.get("seed", 0), "codebook.seed"),
+    }
+
+
 def run_cliff_experiment(config: dict) -> ExperimentReport:
     """Run every schedule arm of ``config`` over one shared dataset/encoder.
 
@@ -333,24 +359,15 @@ def run_cliff_experiment(config: dict) -> ExperimentReport:
     count model, sampling, memorization.  Any stage failure aborts with the
     stage and schedule named.
     """
-    spec = SyntheticSpec(**config["dataset"])
-    enc_cfg = config["encoder"]
-    fit_cfg = config.get("codebook", {})
+    fit_options = codebook_options(config)
     model_cfg = config.get("model", {})
+    max_order = config_int(model_cfg.get("max_order", 4), "model.max_order")
     gen_cfg = config.get("generation", {})
+    n_samples = config_int(gen_cfg.get("n_samples", 200), "generation.n_samples")
+    gen_seed = config_int(gen_cfg.get("seed", 0), "generation.seed")
     threshold = float(config.get("cliff_threshold", 1.0))
 
-    dataset = _stage("dataset", "shared", lambda: generate_dataset(spec))
-    encoder = _stage(
-        "encoder",
-        "shared",
-        lambda: fit_encoder(
-            dataset.images,
-            patch_size=int(enc_cfg["patch_size"]),
-            d=int(enc_cfg["dim"]),
-            seed=int(enc_cfg.get("seed", 0)),
-        ),
-    )
+    dataset, encoder = build_inputs(config)
     latents = _stage("encode", "shared", lambda: encoder.encode_images(dataset.images))
 
     report = ExperimentReport(config=config)
@@ -366,13 +383,7 @@ def run_cliff_experiment(config: dict) -> ExperimentReport:
             "fit_codebook",
             name,
             lambda: fit_codebook(
-                latents,
-                schedule,
-                k_max=schedule.k_max,
-                d=encoder.dim,
-                epochs=int(fit_cfg.get("epochs", 20)),
-                decay=float(fit_cfg.get("decay", 0.99)),
-                seed=int(fit_cfg.get("seed", 0)),
+                latents, schedule, k_max=schedule.k_max, d=encoder.dim, **fit_options
             ),
         )
         corpus = _stage(
@@ -396,7 +407,7 @@ def run_cliff_experiment(config: dict) -> ExperimentReport:
             lambda: fit_counts(
                 corpus,
                 schedule,
-                max_order=int(model_cfg.get("max_order", 4)),
+                max_order=max_order,
                 smoothing=float(model_cfg.get("smoothing", 0.1)),
             ),
         )
@@ -407,8 +418,8 @@ def run_cliff_experiment(config: dict) -> ExperimentReport:
             lambda: sample_corpus(
                 model,
                 policy,
-                n_samples=int(gen_cfg.get("n_samples", 200)),
-                seed=int(gen_cfg.get("seed", 0)),
+                n_samples=n_samples,
+                seed=gen_seed,
             ),
         )
         exact, longest = _stage(

@@ -250,6 +250,64 @@ class TestExperimentCommand:
                      "--out", str(cb)]) == 0
 
 
+class TestConfigValidation:
+    """Integer config fields are never truncated and unknown dataset keys are
+    named: both are data errors (exit 2), not tracebacks."""
+
+    @pytest.mark.parametrize(
+        "section, field, value, message",
+        [
+            ("dataset", "colour", 1, "'colour'"),
+            ("dataset", "n_per_class", True, "dataset.n_per_class"),
+            ("dataset", "image_size", 16.5, "dataset.image_size"),
+            ("encoder", "dim", 6.5, "encoder.dim"),
+            ("codebook", "epochs", 2.7, "codebook.epochs"),
+            ("codebook", "seed", "1", "codebook.seed"),
+            ("model", "max_order", 3.5, "model.max_order"),
+            ("generation", "n_samples", False, "generation.n_samples"),
+        ],
+    )
+    def test_bad_experiment_config_is_data_error(self, tmp_path, capsys, section, field, value, message):
+        config = json.loads(json.dumps(TINY_CONFIG))
+        config[section][field] = value
+        out = tmp_path / "report"
+        assert main(["experiment", "--config", json.dumps(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [("k_min", 2.9), ("length", True), ("k_max", "32")])
+    def test_bad_schedule_field_is_data_error(self, tmp_path, capsys, field, value):
+        sched = dict(TINY_SCHED, **{field: value})
+        assert main(["schedule", "--preset", json.dumps(sched), "--json"]) == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+        config = json.loads(json.dumps(TINY_CONFIG))
+        config["schedules"][1][field] = value
+        assert main(["experiment", "--config", json.dumps(config), "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize("command", ["fit", "tokenize"])
+    def test_unknown_dataset_key_in_fit_and_tokenize(self, tmp_path, capsys, sched_file, command):
+        config = json.loads(json.dumps(TINY_CONFIG))
+        config["dataset"]["size"] = 16
+        argv = [command, "--config", json.dumps(config), "--schedule", sched_file,
+                "--out", str(tmp_path / "out")]
+        if command == "tokenize":
+            argv += ["--codebook", str(tmp_path / "book.vcqc")]
+            main(["fit", "--config", json.dumps(TINY_CONFIG), "--schedule", sched_file,
+                  "--out", str(tmp_path / "book.vcqc")])
+        assert main(argv) == 2
+        assert "unknown dataset field 'size'" in capsys.readouterr().err
+
+    def test_integral_floats_are_accepted(self, tmp_path, sched_file):
+        config = json.loads(json.dumps(TINY_CONFIG))
+        config["codebook"]["epochs"] = 6.0
+        config["dataset"]["n_per_class"] = 15.0
+        a, b = tmp_path / "a.vcqc", tmp_path / "b.vcqc"
+        assert main(["fit", "--config", json.dumps(config), "--schedule", sched_file, "--out", str(a)]) == 0
+        assert main(["fit", "--config", json.dumps(TINY_CONFIG), "--schedule", sched_file, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
 class TestUsageErrors:
     def test_no_command(self):
         assert main([]) == 1

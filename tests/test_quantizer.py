@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -202,47 +204,182 @@ class TestKernelOracle:
         kernel = quantizer._nearest
 
         def recorded(z1, entries, table, k_t):
-            tokens = kernel(z1, entries, table, k_t)
-            seen.append((z1[:, :-1].copy(), entries[:k_t].copy(), tokens))
-            return tokens
+            result = kernel(z1, entries, table, k_t)
+            seen.append((z1[:, :-1].copy(), entries[:k_t].copy(), result[0]))
+            return result
 
         monkeypatch.setattr(quantizer, "_nearest", recorded)
         fit_codebook(latents, sched, k_max=64, d=4, epochs=1, seed=0)
-        assert len(seen) == 8
+        scored = {}
         for z, entries, tokens in seen:
             oracle = [exhaustive_nearest(row, entries, len(entries))[0] for row in z]
             assert tokens.tolist() == oracle
+            scored.setdefault(len(entries), []).extend(map(tuple, z.tolist()))
+        # the first epoch scores every (t, i) exactly once, against its K_t
+        sizes = codebook_sizes(sched)
+        expected = {}
+        for t, k_t in enumerate(sizes):
+            expected.setdefault(k_t, []).extend(map(tuple, latents[:, t].tolist()))
+        assert {k: sorted(rows) for k, rows in scored.items()} == {
+            k: sorted(rows) for k, rows in expected.items()
+        }
+
+    def test_kernel_bounds_hold_exactly(self):
+        # ub >= |z - e_token| and lb <= |z - e_k| for every other k < K_t, in
+        # exact rational arithmetic; rescanned rows report (inf, 0)
+        rng = np.random.default_rng(8)
+        finite = rescanned = 0
+        scales = ((0.0, 1.0), (0.0, 1e-160), (0.0, 1e120), (3.0, 0.1), (1e5, 1e-2), (1e8, 1e-6))
+        for offset, spread in scales:
+            entries = offset_latents(rng, (16, 3), offset, spread)
+            entries[5] = entries[9]  # an exact tie
+            z = np.concatenate([offset_latents(rng, (60, 3), offset, spread), entries[:4]])
+            table = quantizer._score_table(entries)
+            z1 = np.concatenate([z, np.ones((len(z), 1))], axis=1)
+            tokens, ub, lb = quantizer._nearest(z1, entries, table, 16)
+            for row, token, upper, lower in zip(z.tolist(), tokens, ub, lb):
+                sq = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(row, e)) for e in entries.tolist()]
+                if upper == np.inf:
+                    assert lower == 0.0
+                    continue
+                assert Fraction(float(upper)) ** 2 >= sq[token]
+                assert lower >= 0.0
+                assert all(Fraction(float(lower)) ** 2 <= sq[k] for k in range(16) if k != token)
+            finite += int(np.isfinite(ub).sum())
+            rescanned += int(np.isinf(ub).sum())
+        assert finite and rescanned
 
     def test_fit_equals_reference_loop(self, rng):
         # reference: a per-position loop with exhaustive assignment and
         # np.add.at; per-dimension bincounts must add in the same order
         latents = rng.normal(size=(60, 6, 3))
         sched = Schedule(Family.COSINE, 2, 16, 6)
-        k_max, d, epochs, decay, seed = 16, 3, 4, 0.9, 2
-        ref_rng = np.random.default_rng(seed)
-        flat = latents.reshape(-1, d)
-        entries = flat[ref_rng.choice(flat.shape[0], size=k_max, replace=False)].astype(np.float64)
-        ema_size = np.zeros(k_max)
-        ema_sum = np.zeros((k_max, d))
-        for _ in range(epochs):
-            counts = np.zeros(k_max, dtype=np.int64)
-            vecsum = np.zeros((k_max, d))
-            for t, k_t in enumerate(codebook_sizes(sched)):
-                z = latents[:, t, :]
-                tok = np.array([exhaustive_nearest(row, entries, k_t)[0] for row in z])
-                counts += np.bincount(tok, minlength=k_max)
-                np.add.at(vecsum, tok, z)
-            ema_size = decay * ema_size + (1.0 - decay) * counts
-            ema_sum = decay * ema_sum + (1.0 - decay) * vecsum
-            live = ema_size > 0.0
-            entries[live] = ema_sum[live] / ema_size[live, None]
-            dead = counts == 0
-            if dead.any():
-                entries[dead] = flat[ref_rng.choice(flat.shape[0], size=int(dead.sum()), replace=False)]
-                ema_size[dead] = 0.0
-                ema_sum[dead] = 0.0
-        cb = fit_codebook(latents, sched, k_max=k_max, d=d, epochs=epochs, decay=decay, seed=seed)
+        entries = reference_fit(latents, sched, 16, 3, 4, 0.9, 2, python_nearest)
+        cb = fit_codebook(latents, sched, k_max=16, d=3, epochs=4, decay=0.9, seed=2)
         assert cb.entries.tobytes() == entries.astype(np.float32).tobytes()
+
+
+def python_nearest(z, entries, k_t):
+    return np.array([exhaustive_nearest(row, entries, k_t)[0] for row in z])
+
+
+def exhaustive_tokens(z, entries, k_t):
+    """Vectorized exhaustive scan: the same left-to-right sum, and argmin
+    keeps the lowest index on ties."""
+    diff = z[:, None, :] - entries[None, :k_t, :]
+    dist = diff[..., 0] * diff[..., 0]
+    for j in range(1, z.shape[1]):
+        dist = dist + diff[..., j] * diff[..., j]
+    return dist.argmin(axis=1)
+
+
+def reference_fit(latents, sched, k_max, d, epochs, decay, seed, nearest=exhaustive_tokens):
+    """EMA k-means that scores every latent every epoch, with np.add.at."""
+    ref_rng = np.random.default_rng(seed)
+    flat = latents.reshape(-1, d)
+
+    def sample(size):
+        return flat[ref_rng.choice(flat.shape[0], size=size, replace=flat.shape[0] < size)]
+
+    entries = sample(k_max).astype(np.float64)
+    ema_size = np.zeros(k_max)
+    ema_sum = np.zeros((k_max, d))
+    for _ in range(epochs):
+        counts = np.zeros(k_max, dtype=np.int64)
+        vecsum = np.zeros((k_max, d))
+        for t, k_t in enumerate(codebook_sizes(sched)):
+            z = latents[:, t, :]
+            tok = nearest(z, entries, k_t)
+            counts += np.bincount(tok, minlength=k_max)
+            np.add.at(vecsum, tok, z)
+        ema_size = decay * ema_size + (1.0 - decay) * counts
+        ema_sum = decay * ema_sum + (1.0 - decay) * vecsum
+        live = ema_size > 0.0
+        entries[live] = ema_sum[live] / ema_size[live, None]
+        dead = counts == 0
+        if dead.any():
+            entries[dead] = sample(int(dead.sum()))
+            ema_size[dead] = 0.0
+            ema_sum[dead] = 0.0
+    return entries
+
+
+def _pruning_cases():
+    rng = np.random.default_rng(9)
+    clusters = rng.normal(size=(5, 3))
+    blobs = clusters[rng.integers(0, 5, size=(50, 6))] + 0.1 * rng.normal(size=(50, 6, 3))
+    cosine = Schedule(Family.COSINE, 2, 16, 6)
+    return {
+        # name: (latents, schedule, k_max, decay, seed, pruning possible);
+        # at offset 1e5 every row is a near-tie for the fast scores, so the
+        # kernel rescans it and reports (inf, 0): nothing can be skipped
+        "offset": (offset_latents(rng, (50, 6, 3)), cosine, 16, 0.9, 1, False),
+        "offset-1e3": (offset_latents(rng, (50, 6, 3), 1e3, 1.0), cosine, 16, 0.9, 8, True),
+        # 20 latents, 24 entries in the prefix and 6 beyond: reseeds every epoch
+        "reseeds": (rng.normal(size=(4, 5, 3)), Schedule(Family.CONSTANT, 24, 24, 5), 30, 0.5, 2, True),
+        "ties": (np.round(rng.normal(size=(50, 6, 3)) * 2) / 2, cosine, 16, 0.9, 3, True),
+        # every entry starts equal to every latent: all ties, all rescanned
+        "identical": (np.tile(rng.normal(size=3), (30, 6, 1)), Schedule(Family.LINEAR, 2, 8, 6), 8, 0.9, 4, False),
+        "k1": (blobs, Schedule(Family.LINEAR, 1, 12, 6), 12, 0.9, 5, True),
+        "linear": (blobs, Schedule(Family.LINEAR, 2, 16, 6), 16, 0.99, 6, True),
+        "power": (blobs, Schedule(Family.POWER, 2, 16, 6, alpha=2.5), 16, 0.9, 7, True),
+    }
+
+
+PRUNING_CASES = _pruning_cases()
+
+
+class TestPrunedFit:
+    """fit_codebook skips latents by bounds; codebooks stay bit for bit those
+    of scoring every latent every epoch."""
+
+    @pytest.mark.parametrize("name", sorted(PRUNING_CASES))
+    def test_equals_reference_loop_over_many_epochs(self, name, monkeypatch):
+        latents, sched, k_max, decay, seed, prunes = PRUNING_CASES[name]
+        n, length, d = latents.shape
+        epochs = 30
+        scored = []
+        kernel = quantizer._nearest
+
+        def counted(z1, entries, table, k_t):
+            scored.append(len(z1))
+            return kernel(z1, entries, table, k_t)
+
+        monkeypatch.setattr(quantizer, "_nearest", counted)
+        cb = fit_codebook(latents, sched, k_max=k_max, d=d, epochs=epochs, decay=decay, seed=seed)
+        expected = reference_fit(latents, sched, k_max, d, epochs, decay, seed)
+        assert cb.entries.tobytes() == expected.astype(np.float32).tobytes()
+        assert n * length <= sum(scored) <= epochs * n * length
+        if prunes:
+            assert sum(scored) < epochs * n * length
+
+    def test_property_equals_reference_loop(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+        @hypothesis.given(
+            n=st.integers(1, 12),
+            length=st.integers(2, 5),
+            d=st.integers(1, 4),
+            k_max=st.integers(1, 12),
+            family=st.sampled_from([Family.CONSTANT, Family.LINEAR, Family.COSINE, Family.POWER]),
+            offset=st.sampled_from([0.0, 1.0, -1e3, 1e5, 1e8]),
+            spread=st.sampled_from([1.0, 1e-2, 1e-6]),
+            rounded=st.booleans(),
+            epochs=st.integers(1, 14),
+            seed=st.integers(0, 2**16),
+        )
+        def check(n, length, d, k_max, family, offset, spread, rounded, epochs, seed):
+            rng = np.random.default_rng(seed)
+            noise = rng.normal(size=(n, length, d))
+            latents = offset + spread * (np.round(noise) if rounded else noise)
+            sched = Schedule(family, max(1, k_max // 3), k_max, length, 2.0 if family is Family.POWER else None)
+            cb = fit_codebook(latents, sched, k_max=k_max, d=d, epochs=epochs, decay=0.8, seed=seed)
+            expected = reference_fit(latents, sched, k_max, d, epochs, 0.8, seed)
+            assert cb.entries.tobytes() == expected.astype(np.float32).tobytes()
+
+        check()
 
 
 class TestDecode:

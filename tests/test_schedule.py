@@ -10,6 +10,7 @@ from vcqlab.schedule import (
     capacity_report,
     codebook_size_at,
     codebook_sizes,
+    config_int,
     cumulative_capacity,
     data_threshold,
     load_schedule,
@@ -249,6 +250,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="missing"):
             schedule_from_json({"family": "linear", "k_min": 2, "k_max": 4})
 
+    def test_non_integer_fields_rejected(self):
+        base = {"family": "linear", "k_min": 2, "k_max": 4, "length": 8}
+        for field, value in (("k_min", 2.9), ("k_max", "4"), ("length", True), ("length", float("nan"))):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                schedule_from_json(dict(base, **{field: value}))
+        assert schedule_from_json(dict(base, k_max=4.0)) == Schedule(Family.LINEAR, 2, 4, 8)
+
     def test_capacity_csv(self, tmp_path):
         report = capacity_report(Schedule(Family.LINEAR, 2, 16, 4), 100)
         path = tmp_path / "curve.csv"
@@ -258,3 +266,16 @@ class TestSerialization:
         assert len(lines) == 5
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "2"
+
+
+class TestConfigInt:
+    def test_integers_and_integral_floats(self):
+        assert config_int(3, "x") == 3
+        assert config_int(np.int64(3), "x") == 3
+        assert config_int(3.0, "x") == 3 and type(config_int(3.0, "x")) is int
+        assert config_int(-2.0, "x") == -2
+
+    @pytest.mark.parametrize("value", [True, False, 2.9, "3", None, float("inf"), float("nan"), [3]])
+    def test_rejects(self, value):
+        with pytest.raises(ValueError, match="field must be an integer"):
+            config_int(value, "field")

@@ -8,6 +8,8 @@ from vcqlab.schedule import Family, Schedule, codebook_sizes
 from vcqlab.toylab import (
     Dataset,
     SyntheticSpec,
+    build_inputs,
+    codebook_options,
     default_experiment_config,
     fit_encoder,
     generate_dataset,
@@ -228,6 +230,28 @@ class TestExperiment:
         cfg["encoder"]["dim"] = 999  # exceeds patch dimensionality
         with pytest.raises(RuntimeError, match="stage 'encoder'"):
             run_cliff_experiment(cfg)
+
+    def test_unknown_dataset_key_named(self):
+        cfg = tiny_config(seed=0)
+        cfg["dataset"]["n_images"] = 10
+        with pytest.raises(ValueError, match="unknown dataset field 'n_images'"):
+            run_cliff_experiment(cfg)
+
+    def test_build_inputs_equals_direct_construction(self):
+        cfg = tiny_config(seed=1)
+        dataset, encoder = build_inputs(cfg)
+        direct = generate_dataset(SyntheticSpec(**cfg["dataset"]))
+        assert dataset.images.tobytes() == direct.images.tobytes()
+        assert dataset.spec == direct.spec
+        reference = fit_encoder(direct.images, patch_size=4, d=6)
+        assert encoder.projection.tobytes() == reference.projection.tobytes()
+        assert encoder.mean.tobytes() == reference.mean.tobytes()
+
+    def test_codebook_options(self):
+        assert codebook_options({}) == {"epochs": 20, "decay": 0.99, "seed": 0}
+        assert codebook_options({"codebook": {"epochs": 3.0, "seed": 7}})["epochs"] == 3
+        with pytest.raises(ValueError, match="codebook.epochs must be an integer"):
+            codebook_options({"codebook": {"epochs": 2.7}})
 
     def test_duplicate_schedule_names_rejected(self):
         cfg = tiny_config(seed=0)
