@@ -24,6 +24,7 @@ from .schedule import (
     Schedule,
     capacity_report,
     capacity_summary,
+    config_int,
     data_threshold,
     load_schedule,
     schedule_from_json,
@@ -95,15 +96,7 @@ def cmd_schedule(args) -> int:
     if args.preset:
         schedule = _resolve_schedule(args.preset)
     elif args.family:
-        schedule = schedule_from_json(
-            {
-                "family": args.family,
-                "k_min": args.k_min,
-                "k_max": args.k_max,
-                "length": args.length,
-                **({"alpha": args.alpha} if args.alpha is not None else {}),
-            }
-        )
+        schedule = Schedule(args.family, args.k_min, args.k_max, args.length, args.alpha)
     else:
         raise UsageError("schedule: need --preset or --family (with --k-min/--k-max)")
     report = capacity_report(schedule, n_samples=args.n, pixel_count=args.pixels)
@@ -163,7 +156,7 @@ def cmd_tstar(args) -> int:
         return 0
     if args.datasets:
         try:
-            table = [(str(name), int(n)) for name, n in json.loads(args.datasets)]
+            table = [(str(name), config_int(n, "N")) for name, n in json.loads(args.datasets)]
         except (TypeError, ValueError, json.JSONDecodeError):
             raise UsageError(
                 '--datasets expects a JSON list of [name, N] pairs'
@@ -186,10 +179,10 @@ def cmd_tstar(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    config = _load_json_arg(args.config)
+    config = toylab.load_config(_load_json_arg(args.config))
     schedule = _resolve_schedule(args.schedule)
     dataset, encoder = toylab.build_inputs(config)
-    options = toylab.codebook_options(config)
+    options = config["codebook"]
     if args.seed is not None:
         options["seed"] = args.seed
     codebook = quant_mod.fit_codebook(
@@ -205,7 +198,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_tokenize(args) -> int:
-    config = _load_json_arg(args.config)
+    config = toylab.load_config(_load_json_arg(args.config))
     schedule = _resolve_schedule(args.schedule)
     codebook = quant_mod.read_codebook(args.codebook)
     dataset, encoder = toylab.build_inputs(config)
@@ -266,6 +259,8 @@ def cmd_memorization(args) -> int:
 
 def cmd_experiment(args) -> int:
     if args.config:
+        if args.seed is not None:
+            raise UsageError("experiment: --seed applies to the built-in config, not to --config")
         config = _load_json_arg(args.config)
     else:
         config = toylab.default_experiment_config(seed=args.seed or 0)

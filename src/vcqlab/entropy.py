@@ -165,8 +165,6 @@ def chain_rule_check(corpus: TokenCorpus) -> tuple[float, float, float]:
 
 def remaining_budget(schedule: Schedule, n_samples: int) -> list[float]:
     """max(0, log2 N - I(t)) for t = 0 .. L-1, the unspent bits per position."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     return capacity_report(schedule, n_samples).remaining_budget
 
 
@@ -213,20 +211,16 @@ def _bounds(
     if corpus is None and (schedule is None or n_samples is None):
         raise ValueError("need a corpus, or both a schedule and n_samples")
     n = corpus.n_samples if corpus is not None else int(n_samples)
-    if schedule is not None:
-        length = schedule.length
-        if corpus is not None and corpus.length != length:
-            raise ValueError(
-                f"corpus length {corpus.length} does not match schedule length {length}"
-            )
-        k_uniform = schedule.k_max
-        approximate = schedule.family.value != "constant"
-        sizes = codebook_sizes(schedule)
-    else:
-        length = corpus.length
-        k_uniform = corpus.k_max
-        approximate = False
-        sizes = [k_uniform] * length
+    if schedule is None:
+        schedule = Schedule("constant", corpus.k_max, corpus.k_max, corpus.length)
+    length = schedule.length
+    if corpus is not None and corpus.length != length:
+        raise ValueError(
+            f"corpus length {corpus.length} does not match schedule length {length}"
+        )
+    k_uniform = schedule.k_max
+    approximate = schedule.family.value != "constant"
+    sizes = codebook_sizes(schedule)
     log_n = math.log2(n)
     log_k = math.log2(k_uniform)
     prop1 = [max(0.0, log_n - i * log_k) for i in range(length)]
@@ -249,8 +243,8 @@ def cliff_position(profile: list[float], threshold: float = 1.0) -> int:
     Returns len(profile) when the entropy never settles below the
     threshold, and 0 when it is always below.
     """
-    if threshold <= 0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
+    if not 0 < threshold < math.inf:
+        raise ValueError(f"threshold must be finite and > 0, got {threshold}")
     last = -1
     for i, h in enumerate(profile):
         if h >= threshold:

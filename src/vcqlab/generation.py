@@ -38,14 +38,13 @@ with seed (seed, i) reproduces row i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from numbers import Real
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .corpus import TokenCorpus
 from .entropy import refine_groups
-from .schedule import Schedule, codebook_size_at, codebook_sizes
+from .schedule import Schedule, check_fields, codebook_size_at, codebook_sizes
 
 __all__ = [
     "GuidancePolicy",
@@ -61,6 +60,7 @@ __all__ = [
     "memorization_report",
     "policy_from_json",
     "policy_to_json",
+    "POLICY_FIELDS",
 ]
 
 MASK = float("-inf")
@@ -80,12 +80,7 @@ class GuidancePolicy:
     temperature: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("scale", "power", "temperature"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not isinstance(self.size_aware, bool):
-            raise ValueError(f"size_aware must be true or false, got {self.size_aware!r}")
+        check_fields({name: getattr(self, name) for name in POLICY_FIELDS}, "policy", POLICY_FIELDS)
         if self.scale < 0:
             raise ValueError(f"scale must be >= 0, got {self.scale}")
         if self.ramp not in _RAMPS:
@@ -94,6 +89,10 @@ class GuidancePolicy:
             raise ValueError(f"power must be > 0, got {self.power}")
         if self.temperature < 0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+
+
+# Field types of a policy config object: every GuidancePolicy field but the schedule
+POLICY_FIELDS = {f.name: f.type for f in fields(GuidancePolicy) if f.name != "schedule"}
 
 
 def size_aware_scale(policy: GuidancePolicy, t: int) -> float:
@@ -227,8 +226,8 @@ def fit_counts(
         )
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
-    if smoothing <= 0:
-        raise ValueError(f"smoothing must be > 0, got {smoothing}")
+    if not 0 < smoothing < math.inf:
+        raise ValueError(f"smoothing must be finite and > 0, got {smoothing}")
     sizes = codebook_sizes(schedule)
     per_position_max = corpus.tokens.max(axis=0)
     for t, k_t in enumerate(sizes):
@@ -248,9 +247,7 @@ def fit_counts(
         per_order = []
         for order in range(min(max_order, t) + 1):
             if order:
-                keys, rank = np.unique(
-                    rank * corpus.k_max + tokens[:, t - order], return_inverse=True
-                )
+                keys, rank, _ = refine_groups(rank, tokens[:, t - order], corpus.k_max)
             per_order.append(_count_table(keys, rank, scope, tokens[:, t], k_t))
         tables.append(per_order)
     return CountModel(
@@ -419,8 +416,8 @@ _BLOCK_ELEMENTS = 1 << 20
 def sample_corpus(
     model: CountModel,
     policy: GuidancePolicy,
-    n_samples: int,
-    seed: int,
+    n_samples: int = 200,
+    seed: int = 0,
     labels=None,
 ) -> TokenCorpus:
     """Draw a corpus of sequences; sample i uses generator seed (seed, i).
@@ -502,31 +499,9 @@ def memorization_report(
 
 def policy_to_json(policy: GuidancePolicy) -> dict:
     """JSON-ready dict (the schedule is carried separately)."""
-    return {
-        "scale": policy.scale,
-        "ramp": policy.ramp,
-        "power": policy.power,
-        "size_aware": policy.size_aware,
-        "temperature": policy.temperature,
-    }
+    return {name: getattr(policy, name) for name in POLICY_FIELDS}
 
 
 def policy_from_json(data: dict, schedule: Schedule) -> GuidancePolicy:
     """Build a policy from {"scale", "ramp", "power", "size_aware", "temperature"}."""
-    known = {"scale", "ramp", "power", "size_aware", "temperature"}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown policy fields: {sorted(unknown)}")
-    values = {}
-    for name, default in (("scale", 0.0), ("power", 1.5), ("temperature", 1.0)):
-        value = data.get(name, default)
-        # bool is an int subclass; a JSON true must not read as 1.0
-        if isinstance(value, bool) or not isinstance(value, Real):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-        values[name] = float(value)
-    ramp = data.get("ramp", "none")
-    if not isinstance(ramp, str):
-        raise ValueError(f"ramp must be a string, got {ramp!r}")
-    return GuidancePolicy(
-        schedule=schedule, ramp=ramp, size_aware=data.get("size_aware", True), **values
-    )
+    return GuidancePolicy(schedule=schedule, **check_fields(data, "policy", POLICY_FIELDS))

@@ -13,6 +13,7 @@ budget (I(t) >= log2 N).
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import json
@@ -43,6 +44,9 @@ __all__ = [
     "write_capacity_csv",
     "capacity_summary",
     "config_int",
+    "check_fields",
+    "SCHEDULE_FIELDS",
+    "SCHEDULE_REQUIRED",
 ]
 
 # Positions whose cumulative capacity falls within this many bits of the
@@ -75,7 +79,15 @@ class Schedule:
     alpha: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "family", Family(self.family))
+        try:
+            object.__setattr__(self, "family", Family(self.family))
+        except ValueError:
+            raise ValueError(
+                f"unknown schedule family {self.family!r}; expected one of "
+                f"{[f.value for f in Family]}"
+            ) from None
+        if self.alpha is not None and not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.k_min < 1:
             raise ValueError(f"k_min must be >= 1, got {self.k_min}")
         if self.k_max < self.k_min:
@@ -131,7 +143,7 @@ def cumulative_capacity(schedule: Schedule, t: int) -> float:
     """I(t) = sum_{i<t} log2 K_i in bits; I(0) = 0."""
     if not 0 <= t <= schedule.length:
         raise IndexError(f"position count {t} out of range [0, {schedule.length}]")
-    return math.fsum(math.log2(codebook_size_at(schedule, i)) for i in range(t))
+    return capacity_report(schedule, 1).cumulative[t]
 
 
 def tstar_uniform(n_samples: int, k: int) -> int:
@@ -167,17 +179,7 @@ def data_threshold(k: int, m: int) -> int:
 
 def tstar_vcq(schedule: Schedule, n_samples: int) -> int:
     """Smallest t with I(t) >= log2 N; L+1 if the budget outlasts the sequence."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    target = math.log2(n_samples) - _BUDGET_EPS
-    total = 0.0
-    if total >= target:
-        return 0
-    for t in range(schedule.length):
-        total += math.log2(codebook_size_at(schedule, t))
-        if total >= target:
-            return t + 1
-    return schedule.length + 1
+    return capacity_report(schedule, n_samples).tstar_vcq
 
 
 @dataclass(frozen=True)
@@ -211,16 +213,15 @@ def capacity_report(
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     sizes = codebook_sizes(schedule)
     bits = [math.log2(k) for k in sizes]
+    # I(t), the one capacity computation: cumulative_capacity and tstar_vcq
+    # read it from here
     cumulative = [0.0]
     for b in bits:
         cumulative.append(cumulative[-1] + b)
     log_n = math.log2(n_samples)
     remaining = [max(0.0, log_n - cumulative[t]) for t in range(schedule.length)]
-    tstar = schedule.length + 1
-    for t in range(schedule.length + 1):
-        if cumulative[t] >= log_n - _BUDGET_EPS:
-            tstar = t
-            break
+    # I(t) never decreases, so this is the first t reaching the budget (L+1 if none)
+    tstar = bisect.bisect_left(cumulative, log_n - _BUDGET_EPS)
     return CapacityReport(
         sizes=sizes,
         bits_per_position=bits,
@@ -271,24 +272,62 @@ def config_int(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+# Each declared field type beyond the numbers: its Python type, and what the
+# error says a value must be
+_JSON_KINDS = {
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+    "dict": (dict, "a JSON object"),
+    "list": (list, "a JSON list"),
+}
+
+
+def _check_value(value, kind: str, name: str):
+    """``value`` of a field declared ``kind``; ``ValueError`` naming ``name`` if not."""
+    if kind == "int":
+        return config_int(value, name)
+    if kind == "float":
+        # bool is an int subclass; a JSON true must not read as 1.0
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        return float(value)
+    python_type, noun = _JSON_KINDS[kind]
+    if not isinstance(value, python_type):
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    return value
+
+
+def check_fields(data, section: str, types: dict[str, str], required=()) -> dict:
+    """Config section ``data`` checked against its declared field types.
+
+    ``types`` maps every allowed key to one of "int", "float", "bool",
+    "str", "dict" or "list".  An unknown key, a missing ``required`` key or
+    a value of the wrong type (a bool or string as a number, a non-integral
+    integer, a non-finite float) raises ``ValueError`` naming
+    ``section.key``.  Returns the given keys only, ints as ``int`` and
+    floats as ``float``, so absent keys keep the defaults of whatever the
+    section is passed to.
+    """
+    _check_value(data, "dict", section)
+    for key in data:
+        if key not in types:
+            raise ValueError(f"unknown {section} field {key!r}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"missing field {section}.{key}")
+    return {key: _check_value(value, types[key], f"{section}.{key}") for key, value in data.items()}
+
+
+# Field types of a schedule object, and the fields it must have
+SCHEDULE_FIELDS = {"family": "str", "k_min": "int", "k_max": "int", "length": "int", "alpha": "float"}
+SCHEDULE_REQUIRED = ("family", "k_min", "k_max", "length")
+
+
 def schedule_from_json(data: dict) -> Schedule:
     """Inverse of :func:`schedule_to_json`, with field validation."""
-    try:
-        family = data["family"]
-        k_min = config_int(data["k_min"], "k_min")
-        k_max = config_int(data["k_max"], "k_max")
-        length = config_int(data["length"], "length")
-    except KeyError as exc:
-        raise ValueError(f"schedule config missing field {exc}") from exc
-    alpha = data.get("alpha")
-    try:
-        family = Family(family)
-    except ValueError:
-        raise ValueError(
-            f"unknown schedule family {family!r}; expected one of "
-            f"{[f.value for f in Family]}"
-        ) from None
-    return Schedule(family, k_min, k_max, length, None if alpha is None else float(alpha))
+    return Schedule(**check_fields(data, "schedule", SCHEDULE_FIELDS, SCHEDULE_REQUIRED))
 
 
 def save_schedule(schedule: Schedule, path: str | Path) -> None:

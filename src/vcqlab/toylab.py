@@ -20,13 +20,21 @@ import numpy as np
 from .corpus import TokenCorpus, atomic_write, write_corpus
 from .entropy import EntropyProfile, analyze, write_profile_csv
 from .generation import (
+    POLICY_FIELDS,
+    GuidancePolicy,
     fit_counts,
     memorization_report,
-    policy_from_json,
     sample_corpus,
 )
 from .quantizer import Codebook, fit_codebook, quantize_batch, write_codebook
-from .schedule import Schedule, config_int, schedule_from_json, schedule_to_json, tstar_vcq
+from .schedule import (
+    SCHEDULE_FIELDS,
+    SCHEDULE_REQUIRED,
+    Schedule,
+    check_fields,
+    schedule_to_json,
+    tstar_vcq,
+)
 
 __all__ = [
     "SyntheticSpec",
@@ -36,8 +44,8 @@ __all__ = [
     "ExperimentReport",
     "generate_dataset",
     "fit_encoder",
+    "load_config",
     "build_inputs",
-    "codebook_options",
     "tokenize_dataset",
     "reconstruction_metrics",
     "psnr_from_mse",
@@ -318,38 +326,57 @@ def _stage(stage: str, name: str, fn):
         ) from exc
 
 
-def build_inputs(config: dict) -> tuple[Dataset, LinearEncoder]:
-    """The dataset and fitted encoder every arm of ``config`` shares.
+# Declared field types and required fields of each experiment config
+# section.  codebook, model and generation are the keyword arguments of
+# fit_codebook, fit_counts and sample_corpus: their defaults live there.
+_SECTIONS = {
+    "dataset": ({f.name: f.type for f in fields(SyntheticSpec)}, ()),
+    "encoder": ({"patch_size": "int", "dim": "int"}, ("patch_size", "dim")),
+    "codebook": ({"epochs": "int", "decay": "float", "seed": "int"}, ()),
+    "model": ({"max_order": "int", "smoothing": "float"}, ()),
+    "policy": (POLICY_FIELDS, ()),
+    "generation": ({"n_samples": "int", "seed": "int"}, ()),
+}
+_TOP_FIELDS = {**dict.fromkeys(_SECTIONS, "dict"), "schedules": "list", "cliff_threshold": "float"}
+_ARM_FIELDS = {"name": "str", **SCHEDULE_FIELDS}
 
-    Unknown ``dataset`` keys and non-integer integer fields raise
-    ``ValueError`` before any work is done.
+
+def load_config(config: dict) -> dict:
+    """Every section of an experiment config, checked before any work is done.
+
+    Unknown keys, missing required keys and values of the wrong type raise
+    ``ValueError`` naming the field (:func:`~vcqlab.schedule.check_fields`).
+    Returns the checked sections under their own keys: ``dataset`` as a
+    :class:`SyntheticSpec`, ``schedules`` (when given) as a list of
+    (name, Schedule, GuidancePolicy) arms, and every other section as a dict
+    of the keys it gives, ready to pass as keyword arguments.
     """
-    data_cfg = config["dataset"]
-    types = {f.name: f.type for f in fields(SyntheticSpec)}
-    unknown = sorted(set(data_cfg) - set(types))
-    if unknown:
-        raise ValueError(f"unknown dataset field {unknown[0]!r}")
-    spec = SyntheticSpec(
-        **{k: config_int(v, f"dataset.{k}") if types[k] == "int" else v for k, v in data_cfg.items()}
-    )
-    enc_cfg = config["encoder"]
-    patch_size = config_int(enc_cfg["patch_size"], "encoder.patch_size")
-    dim = config_int(enc_cfg["dim"], "encoder.dim")
-    dataset = _stage("dataset", "shared", lambda: generate_dataset(spec))
+    top = check_fields(config, "config", _TOP_FIELDS, ("dataset", "encoder"))
+    loaded = dict(top)
+    for section, (types, required) in _SECTIONS.items():
+        loaded[section] = check_fields(top.get(section, {}), section, types, required)
+    loaded["dataset"] = SyntheticSpec(**loaded["dataset"])
+    if "schedules" in top:
+        loaded["schedules"] = []
+        for i, item in enumerate(top["schedules"]):
+            arm = check_fields(item, f"schedules[{i}]", _ARM_FIELDS, SCHEDULE_REQUIRED)
+            name = arm.pop("name", arm["family"])
+            if name in (n for n, _, _ in loaded["schedules"]):
+                raise ValueError(f"duplicate schedule name {name!r} in config")
+            schedule = Schedule(**arm)
+            policy = GuidancePolicy(schedule, **loaded["policy"])
+            loaded["schedules"].append((name, schedule, policy))
+    return loaded
+
+
+def build_inputs(config: dict) -> tuple[Dataset, LinearEncoder]:
+    """The dataset and fitted encoder every arm of a loaded ``config`` shares."""
+    patch_size, dim = config["encoder"]["patch_size"], config["encoder"]["dim"]
+    dataset = _stage("dataset", "shared", lambda: generate_dataset(config["dataset"]))
     encoder = _stage(
         "encoder", "shared", lambda: fit_encoder(dataset.images, patch_size=patch_size, d=dim)
     )
     return dataset, encoder
-
-
-def codebook_options(config: dict) -> dict:
-    """``epochs``, ``decay`` and ``seed`` for :func:`fit_codebook` from ``config``."""
-    fit_cfg = config.get("codebook", {})
-    return {
-        "epochs": config_int(fit_cfg.get("epochs", 20), "codebook.epochs"),
-        "decay": float(fit_cfg.get("decay", 0.99)),
-        "seed": config_int(fit_cfg.get("seed", 0), "codebook.seed"),
-    }
 
 
 def run_cliff_experiment(config: dict) -> ExperimentReport:
@@ -359,31 +386,18 @@ def run_cliff_experiment(config: dict) -> ExperimentReport:
     count model, sampling, memorization.  Any stage failure aborts with the
     stage and schedule named.
     """
-    fit_options = codebook_options(config)
-    model_cfg = config.get("model", {})
-    max_order = config_int(model_cfg.get("max_order", 4), "model.max_order")
-    gen_cfg = config.get("generation", {})
-    n_samples = config_int(gen_cfg.get("n_samples", 200), "generation.n_samples")
-    gen_seed = config_int(gen_cfg.get("seed", 0), "generation.seed")
-    threshold = float(config.get("cliff_threshold", 1.0))
-
-    dataset, encoder = build_inputs(config)
+    loaded = load_config(config)
+    threshold = loaded.get("cliff_threshold", 1.0)
+    dataset, encoder = build_inputs(loaded)
     latents = _stage("encode", "shared", lambda: encoder.encode_images(dataset.images))
 
     report = ExperimentReport(config=config)
-    seen = set()
-    for item in config["schedules"]:
-        item = dict(item)
-        name = str(item.pop("name", item.get("family", "schedule")))
-        if name in seen:
-            raise ValueError(f"duplicate schedule name {name!r} in config")
-        seen.add(name)
-        schedule = schedule_from_json(item)
+    for name, schedule, policy in loaded["schedules"]:
         codebook = _stage(
             "fit_codebook",
             name,
             lambda: fit_codebook(
-                latents, schedule, k_max=schedule.k_max, d=encoder.dim, **fit_options
+                latents, schedule, k_max=schedule.k_max, d=encoder.dim, **loaded["codebook"]
             ),
         )
         corpus = _stage(
@@ -401,26 +415,9 @@ def run_cliff_experiment(config: dict) -> ExperimentReport:
             name,
             lambda: reconstruction_metrics(dataset.images, corpus.tokens, encoder, codebook),
         )
-        model = _stage(
-            "fit_counts",
-            name,
-            lambda: fit_counts(
-                corpus,
-                schedule,
-                max_order=max_order,
-                smoothing=float(model_cfg.get("smoothing", 0.1)),
-            ),
-        )
-        policy = policy_from_json(config.get("policy", {}), schedule)
+        model = _stage("fit_counts", name, lambda: fit_counts(corpus, schedule, **loaded["model"]))
         generated = _stage(
-            "generate",
-            name,
-            lambda: sample_corpus(
-                model,
-                policy,
-                n_samples=n_samples,
-                seed=gen_seed,
-            ),
+            "generate", name, lambda: sample_corpus(model, policy, **loaded["generation"])
         )
         exact, longest = _stage(
             "memorization", name, lambda: memorization_report(generated, corpus)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -96,6 +97,13 @@ class TestTstarCommand:
 
     def test_bad_threshold_range(self, capsys):
         assert main(["tstar", "--thresholds", "five"]) == 1
+
+    @pytest.mark.parametrize("n", ["1.9", "true", '"12"'])
+    def test_dataset_sizes_must_be_integers(self, capsys, n):
+        assert main(["tstar", "--datasets", f'[["a", {n}]]']) == 1
+        assert "--datasets expects" in capsys.readouterr().err
+        assert main(["tstar", "--datasets", '[["a", 4.0]]', "--k", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["datasets"][0]["tstar"] == 2
 
 
 class TestPipelineCommands:
@@ -197,6 +205,21 @@ class TestPipelineCommands:
         if argv[0] == "analyze":  # identical rows: the sign of zero survives
             assert '"joint_bits": -0.0' in printed
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_is_data_error(self, tmp_path, capsys, threshold):
+        import numpy as np
+
+        from vcqlab.corpus import TokenCorpus, write_corpus
+
+        flat = tmp_path / "flat.vcqt"
+        write_corpus(TokenCorpus(tokens=np.tile([1, 2, 3], (12, 1)), k_max=8), flat)
+        out = tmp_path / "summary.json"
+        argv = ["analyze", "--corpus", str(flat), "--threshold", threshold, "--json", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "threshold must be finite and > 0" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         assert main(["analyze", "--corpus", str(tmp_path / "missing.vcqt")]) == 2
 
@@ -242,6 +265,12 @@ class TestExperimentCommand:
         stdout = capsys.readouterr().out
         assert "constant" in stdout and "cosine" in stdout
 
+    def test_seed_with_config_is_usage_error(self, tmp_path, config_file, capsys):
+        out = tmp_path / "report"
+        assert main(["experiment", "--config", config_file, "--seed", "3", "--out", str(out)]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_inline_policy_and_schedule_json(self, tmp_path, config_file, capsys):
         # schedule argument can be inline JSON too
         cb = tmp_path / "book.vcqc"
@@ -251,8 +280,9 @@ class TestExperimentCommand:
 
 
 class TestConfigValidation:
-    """Integer config fields are never truncated and unknown dataset keys are
-    named: both are data errors (exit 2), not tracebacks."""
+    """Config fields are checked against their declared types: integers are
+    never truncated, numbers are finite and never bools or strings, and
+    unknown keys are named.  Each is a data error (exit 2), not a traceback."""
 
     @pytest.mark.parametrize(
         "section, field, value, message",
@@ -265,11 +295,31 @@ class TestConfigValidation:
             ("codebook", "seed", "1", "codebook.seed"),
             ("model", "max_order", 3.5, "model.max_order"),
             ("generation", "n_samples", False, "generation.n_samples"),
+            (None, "cliff_threshold", True, "config.cliff_threshold must be a number"),
+            (None, "cliff_threshold", math.nan, "config.cliff_threshold must be finite"),
+            (None, "cliff_threshold", math.inf, "config.cliff_threshold must be finite"),
+            # a finite threshold the loader accepts reaches cliff_position
+            (None, "cliff_threshold", 0, "threshold must be finite and > 0"),
+            ("model", "smoothing", True, "model.smoothing must be a number"),
+            ("model", "smoothing", math.nan, "model.smoothing must be finite"),
+            ("codebook", "decay", "0.99", "codebook.decay must be a number"),
+            ("dataset", "noise", True, "dataset.noise must be a number"),
+            ("schedules", "alpha", math.inf, "schedules[1].alpha must be finite"),
+            (None, "cliff_treshold", 0.5, "unknown config field 'cliff_treshold'"),
+            ("model", "max_ordr", 3, "unknown model field 'max_ordr'"),
+            ("codebook", "epoch", 6, "unknown codebook field 'epoch'"),
+            ("encoder", "patchsize", 4, "unknown encoder field 'patchsize'"),
+            ("generation", "n_sample", 20, "unknown generation field 'n_sample'"),
+            (None, "polcy", {}, "unknown config field 'polcy'"),
+            ("schedules", "alpah", 2.5, "unknown schedules[1] field 'alpah'"),
         ],
     )
     def test_bad_experiment_config_is_data_error(self, tmp_path, capsys, section, field, value, message):
         config = json.loads(json.dumps(TINY_CONFIG))
-        config[section][field] = value
+        target = config if section is None else config[section]
+        if section == "schedules":
+            target = target[1]
+        target[field] = value
         out = tmp_path / "report"
         assert main(["experiment", "--config", json.dumps(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err

@@ -173,9 +173,14 @@ class TestSizeAwareScale:
         with pytest.raises(ValueError):
             GuidancePolicy(schedule=self.SCHED, power=0.0)
 
-    @pytest.mark.parametrize("field", ["scale", "power", "temperature"])
+    @pytest.mark.parametrize("field", ["scale", "power", "temperature", "smoothing"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, field, value):
+        if field == "smoothing":  # the count model's, not the policy's
+            sched = Schedule(Family.CONSTANT, 4, 4, 2)
+            with pytest.raises(ValueError, match="smoothing must be finite"):
+                fit_counts(make_corpus([[0, 1]], 4, [0]), sched, smoothing=value)
+            return
         with pytest.raises(ValueError, match=field):
             GuidancePolicy(schedule=self.SCHED, **{field: value})
         with pytest.raises(ValueError, match=field):

@@ -63,6 +63,11 @@ class TestCodebookSizeAt:
             Schedule(Family.POWER, 2, 16384, 256)
         with pytest.raises(ValueError):
             Schedule(Family.POWER, 2, 16384, 256, alpha=-1.0)
+        for alpha in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                Schedule(Family.POWER, 2, 16384, 256, alpha=alpha)
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                Schedule(Family.LINEAR, 2, 16384, 256, alpha=alpha)
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,7 @@
+import inspect
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +12,10 @@ from vcqlab.toylab import (
     Dataset,
     SyntheticSpec,
     build_inputs,
-    codebook_options,
     default_experiment_config,
     fit_encoder,
     generate_dataset,
+    load_config,
     psnr_from_mse,
     reconstruction_metrics,
     run_cliff_experiment,
@@ -239,7 +242,7 @@ class TestExperiment:
 
     def test_build_inputs_equals_direct_construction(self):
         cfg = tiny_config(seed=1)
-        dataset, encoder = build_inputs(cfg)
+        dataset, encoder = build_inputs(load_config(cfg))
         direct = generate_dataset(SyntheticSpec(**cfg["dataset"]))
         assert dataset.images.tobytes() == direct.images.tobytes()
         assert dataset.spec == direct.spec
@@ -247,11 +250,27 @@ class TestExperiment:
         assert encoder.projection.tobytes() == reference.projection.tobytes()
         assert encoder.mean.tobytes() == reference.mean.tobytes()
 
-    def test_codebook_options(self):
-        assert codebook_options({}) == {"epochs": 20, "decay": 0.99, "seed": 0}
-        assert codebook_options({"codebook": {"epochs": 3.0, "seed": 7}})["epochs"] == 3
+    def test_codebook_section_passes_through(self):
+        # the codebook section passes through as fit_codebook keyword
+        # arguments, so its defaults are that function's
+        params = inspect.signature(fit_codebook).parameters
+        assert {k: params[k].default for k in ("epochs", "decay", "seed")} == {
+            "epochs": 20, "decay": 0.99, "seed": 0
+        }
+        base = {"dataset": {}, "encoder": {"patch_size": 4, "dim": 6}}
+        assert load_config(base)["codebook"] == {}
+        epochs = load_config({**base, "codebook": {"epochs": 3.0, "seed": 7}})["codebook"]["epochs"]
+        assert epochs == 3 and type(epochs) is int
         with pytest.raises(ValueError, match="codebook.epochs must be an integer"):
-            codebook_options({"codebook": {"epochs": 2.7}})
+            load_config({**base, "codebook": {"epochs": 2.7}})
+
+    def test_readme_config_is_the_default_and_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## Experiment config\s+```json\n(.*?)```", readme, re.S).group(1)
+        config = json.loads(block)
+        assert config == default_experiment_config(0)
+        loaded = load_config(config)
+        assert [name for name, _, _ in loaded["schedules"]] == ["constant", "cosine"]
 
     def test_duplicate_schedule_names_rejected(self):
         cfg = tiny_config(seed=0)
