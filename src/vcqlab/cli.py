@@ -57,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_json(path: str, data: dict) -> None:
-    atomic_write(path, (json.dumps(data, indent=2, sort_keys=True) + "\n").encode())
+    atomic_write(path, [(json.dumps(data, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def _resolve_schedule(value: str) -> Schedule:

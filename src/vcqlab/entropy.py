@@ -39,7 +39,7 @@ import numpy as np
 
 from .corpus import TokenCorpus, atomic_write
 from .quantizer import utilization_profile
-from .schedule import Schedule, capacity_report, codebook_sizes
+from .schedule import Schedule, capacity_report, check_range, codebook_sizes
 
 __all__ = [
     "EntropyProfile",
@@ -53,28 +53,36 @@ __all__ = [
     "analyze",
     "write_profile_csv",
     "profile_summary",
+    "THRESHOLD_RANGE",
 ]
+
+# Range of a cliff threshold in bits, checked by cliff_position and by the
+# config loader for cliff_threshold
+THRESHOLD_RANGE = (lambda v: 0 < v < math.inf, "finite and > 0")
 
 
 def entropy_from_counts(counts) -> float:
-    """Entropy in bits of the empirical distribution given positive counts."""
-    n = 0
-    for c in counts:
-        n += int(c)
-    n = float(n)
-    return -math.fsum((c / n) * math.log2(c / n) for c in counts)
+    """Entropy in bits of the empirical distribution given positive integer counts.
+
+    Every term is ``(c/n) * math.log2(c/n)`` with ``n`` the exact integer
+    total, and ``math.fsum`` rounds the sum exactly, so the result does not
+    depend on the order of the counts.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    return -math.fsum(_xlog2x(counts / int(counts.sum())).tolist())
 
 
 def refine_groups(gids: np.ndarray, column: np.ndarray, k: int):
     """One prefix-refinement step: regroup rows by (group id, next token).
 
     Rows are keyed by the 1-D integer ``gids * k + column`` (``column`` in
-    [0, k)), which sorts in (group id, token) order.  Returns ``np.unique``'s
-    sorted keys, the new group id of every row (the rank of its key) and the
-    size of every new group.
+    [0, k)), which sorts in (group id, token) order.  The key is composed in
+    int64 whatever the dtypes of ``gids`` and ``column`` (token columns are
+    narrow unsigned).  Returns ``np.unique``'s sorted keys, the new group id
+    of every row (the rank of its key) and the size of every new group.
     """
     keys, inverse, counts = np.unique(
-        gids * k + column, return_inverse=True, return_counts=True
+        np.asarray(gids, dtype=np.int64) * k + column, return_inverse=True, return_counts=True
     )
     return keys, inverse.reshape(-1), counts  # numpy 2.0.0 shaped inverse (n, 1)
 
@@ -137,7 +145,7 @@ def _refinement_pass(tokens: np.ndarray, k: int) -> _Sweep:
         gids = inverse[keep]
     # full-row multiplicities: every surviving group, and one per singleton
     _, full_rows = np.unique(gids, return_counts=True)
-    joint = entropy_from_counts(full_rows.tolist() + [1] * n_singletons)
+    joint = entropy_from_counts(np.concatenate((full_rows, np.ones(n_singletons, np.int64))))
     return _Sweep(conditional, prefix_joint, joint)
 
 
@@ -243,8 +251,7 @@ def cliff_position(profile: list[float], threshold: float = 1.0) -> int:
     Returns len(profile) when the entropy never settles below the
     threshold, and 0 when it is always below.
     """
-    if not 0 < threshold < math.inf:
-        raise ValueError(f"threshold must be finite and > 0, got {threshold}")
+    check_range(threshold, "threshold", THRESHOLD_RANGE)
     last = -1
     for i, h in enumerate(profile):
         if h >= threshold:
@@ -316,7 +323,7 @@ def write_profile_csv(profile: EntropyProfile, path: str | Path) -> None:
                 f"{profile.utilization[t]:.12g}",
             ]
         )
-    atomic_write(path, buf.getvalue().encode())
+    atomic_write(path, [buf.getvalue().encode()])
 
 
 def profile_summary(profile: EntropyProfile) -> dict:

@@ -42,9 +42,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .corpus import TokenCorpus
+from .corpus import TokenCorpus, token_dtype
 from .entropy import refine_groups
-from .schedule import Schedule, check_fields, codebook_size_at, codebook_sizes
+from .schedule import Schedule, check_fields, check_range, codebook_size_at, codebook_sizes
 
 __all__ = [
     "GuidancePolicy",
@@ -61,11 +61,21 @@ __all__ = [
     "policy_from_json",
     "policy_to_json",
     "POLICY_FIELDS",
+    "MODEL_RANGES",
+    "SAMPLE_RANGES",
 ]
 
 MASK = float("-inf")
 
 _RAMPS = ("none", "cosine")
+
+# Ranges of fit_counts' and sample_corpus' options, checked by those
+# functions and by the config loader for the model and generation sections
+MODEL_RANGES = {
+    "max_order": (lambda v: v >= 0, ">= 0"),
+    "smoothing": (lambda v: 0 < v < math.inf, "finite and > 0"),
+}
+SAMPLE_RANGES = {"n_samples": (lambda v: v >= 1, ">= 1")}
 
 
 @dataclass(frozen=True)
@@ -224,10 +234,8 @@ def fit_counts(
             f"corpus length {corpus.length} does not match schedule length "
             f"{schedule.length}"
         )
-    if max_order < 0:
-        raise ValueError(f"max_order must be >= 0, got {max_order}")
-    if not 0 < smoothing < math.inf:
-        raise ValueError(f"smoothing must be finite and > 0, got {smoothing}")
+    check_range(max_order, "max_order", MODEL_RANGES["max_order"])
+    check_range(smoothing, "smoothing", MODEL_RANGES["smoothing"])
     sizes = codebook_sizes(schedule)
     per_position_max = corpus.tokens.max(axis=0)
     for t, k_t in enumerate(sizes):
@@ -273,6 +281,9 @@ def _probs(
     n = len(scope)
     rank = np.zeros(n, dtype=np.int64)
     seen = np.ones(n, dtype=bool)
+    # three (n, K_t) buffers serve every order, updated in place: fewer
+    # fresh arrays per position keep sampling's heap churn and page faults down
+    probs, vec, scaled = (np.empty((n, k_t)) for _ in range(3))
     for order, table in enumerate(model.tables[t]):
         if order:
             rank, found = _find(table.keys, rank * model.k_max + prefix[:, t - order])
@@ -284,18 +295,22 @@ def _probs(
         width = stop - first
         # the CSR entry ranges of all hit rows, concatenated
         entries = np.arange(width.sum()) + np.repeat(first - np.cumsum(width) + width, width)
-        vec = np.zeros((n, k_t), dtype=np.float64)
+        vec.fill(0.0)
         vec[np.repeat(rows, width), table.tokens[entries]] = table.counts[entries]
         total = np.zeros(n, dtype=np.int64)
         total[rows] = table.totals[j[rows]]
         if order == 0:
             # position-t unigram with per-outcome Laplace mass over the K_t support
-            probs = (vec + alpha) / (total + alpha * k_t)[:, None]
+            np.add(vec, alpha, out=probs)
+            probs /= (total + alpha * k_t)[:, None]
         else:
-            # interpolate; an unseen context passes the distribution through
-            # unchanged (computing it with total 0 would round differently)
-            mixed = (vec + alpha * probs) / (total + alpha)[:, None]
-            probs = np.where(hit[:, None], mixed, probs)
+            # interpolate, (vec + alpha * probs) / (total + alpha); an unseen
+            # context passes the distribution through unchanged (computing it
+            # with total 0 would round differently)
+            np.multiply(probs, alpha, out=scaled)
+            vec += scaled
+            vec /= (total + alpha)[:, None]
+            np.copyto(probs, vec, where=hit[:, None])
     return probs
 
 
@@ -427,8 +442,7 @@ def sample_corpus(
     uniform per position from its own generator, so results are
     independent of how rows are batched.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    check_range(n_samples, "n_samples", SAMPLE_RANGES["n_samples"])
     _check_lengths(model, policy)
     if labels is None:
         classes = model.classes or [0]
@@ -445,7 +459,7 @@ def sample_corpus(
             [np.random.default_rng((seed, i)).random(model.length) for i in range(n_samples)]
         )
     block = max(1, _BLOCK_ELEMENTS // model.k_max)
-    rows = np.empty((n_samples, model.length), dtype=np.int64)
+    rows = np.empty((n_samples, model.length), dtype=token_dtype(model.k_max))
     for lo in range(0, n_samples, block):
         rows[lo : lo + block] = _sample_rows(
             model,
@@ -475,6 +489,7 @@ def memorization_report(
     # training row, and groups without both kinds of row are dropped
     n = generated.n_samples
     k = max(generated.k_max, training.k_max)
+    # the wider of the two unsigned token dtypes, which holds every id below k
     tokens = np.concatenate((generated.tokens, training.tokens))
     rows = np.arange(tokens.shape[0])
     gids = np.zeros(rows.size, dtype=np.int64)

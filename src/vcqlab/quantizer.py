@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import TokenCorpus, atomic_write
-from .schedule import Schedule, codebook_sizes
+from .schedule import Schedule, check_range, codebook_sizes
 
 __all__ = [
     "Codebook",
@@ -58,6 +58,7 @@ __all__ = [
     "read_codebook",
     "write_codebook",
     "CODEBOOK_MAGIC",
+    "FIT_RANGES",
 ]
 
 CODEBOOK_MAGIC = b"VCQC"
@@ -82,6 +83,12 @@ _DOWN = 1.0 - 4 * _UNIT_ROUNDOFF
 # Rows per kernel call when fit_codebook rescores the latents of one K_t:
 # bounds the gathered copy of their [z, 1] rows to 2**15 (d+1) floats.
 _CHUNK = 1 << 15
+# Ranges of fit_codebook's options, checked by fit_codebook and by the
+# config loader for the codebook section
+FIT_RANGES = {
+    "epochs": (lambda v: v >= 1, ">= 1"),
+    "decay": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+}
 
 
 @dataclass
@@ -310,8 +317,14 @@ def quantize_batch(
 
 
 def decode(tokens: np.ndarray, codebook: Codebook) -> np.ndarray:
-    """Look up codebook rows for a token sequence (exact rows, float32)."""
-    tokens = np.asarray(tokens, dtype=np.int64)
+    """Look up codebook rows for token ids of any shape (exact rows, float32).
+
+    The ids index in their own integer dtype, so narrow corpus tokens are not
+    widened; bool and float arrays are refused, never truncated.
+    """
+    tokens = np.asarray(tokens)
+    if tokens.dtype.kind not in "iu":
+        raise ValueError(f"token ids must be integers, got dtype {tokens.dtype}")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= codebook.k_max):
         raise IndexError(
             f"token ids must lie in [0, {codebook.k_max}), found range "
@@ -395,10 +408,8 @@ def fit_codebook(
         )
     if schedule.k_max > k_max:
         raise ValueError(f"schedule k_max {schedule.k_max} exceeds codebook size {k_max}")
-    if not 0.0 < decay < 1.0:
-        raise ValueError(f"decay must be in (0, 1), got {decay}")
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    check_range(decay, "decay", FIT_RANGES["decay"])
+    check_range(epochs, "epochs", FIT_RANGES["epochs"])
 
     rng = np.random.default_rng(seed)
     flat = latents.reshape(n * length, d)
@@ -477,21 +488,27 @@ def utilization_profile(tokens_corpus: TokenCorpus, schedule: Schedule) -> list[
             f"position {t}: token {int(top[t])} >= K_t {sizes[t]}; corpus "
             f"does not match this schedule"
         )
-    # mark every observed (t, token) in one mask of sum(K_t) cells, position
-    # t's cells starting at offsets[t]; row blocks bound the index memory
-    offsets = np.cumsum([0] + sizes[:-1])
-    seen = np.zeros(sum(sizes), dtype=bool)
+    # mark every observed (t, token) in one mask with top[t] + 1 <= K_t cells
+    # for position t, starting at offsets[t], so the mask is bounded by the
+    # ids present, not by k_max; row blocks bound the int64 index memory
+    widths = top.astype(np.int64) + 1
+    offsets = np.concatenate(([0], np.cumsum(widths[:-1])))
+    seen = np.zeros(int(widths.sum()), dtype=bool)
     block = max(1, 2**20 // tokens_corpus.length)
     for start in range(0, tokens_corpus.n_samples, block):
         seen[tokens[start : start + block] + offsets] = True
-    observed = np.add.reduceat(seen, offsets, dtype=np.int64).tolist()
+    # counted per position: a reduceat with an int64 total casts the whole mask
+    observed = [
+        int(np.count_nonzero(seen[start : start + width]))
+        for start, width in zip(offsets.tolist(), widths.tolist())
+    ]
     return [count / k_t for count, k_t in zip(observed, sizes)]
 
 
 def write_codebook(codebook: Codebook, path: str | Path) -> None:
     """Serialize a codebook to the VCQC binary format (atomic write)."""
     header = _HEADER.pack(CODEBOOK_MAGIC, CODEBOOK_VERSION, codebook.dim, codebook.k_max)
-    atomic_write(path, header + np.ascontiguousarray(codebook.entries, dtype="<f4").tobytes())
+    atomic_write(path, [header, np.ascontiguousarray(codebook.entries, dtype="<f4")])
 
 
 def read_codebook(path: str | Path) -> Codebook:

@@ -44,6 +44,7 @@ __all__ = [
     "write_capacity_csv",
     "capacity_summary",
     "config_int",
+    "check_range",
     "check_fields",
     "SCHEDULE_FIELDS",
     "SCHEDULE_REQUIRED",
@@ -61,6 +62,31 @@ class Family(str, Enum):
     LINEAR = "linear"
     COSINE = "cosine"
     POWER = "power"
+
+
+def config_int(value, name: str) -> int:
+    """An integer config field: an int, or a float with an integral value.
+
+    Bools (a JSON ``true`` is not 1), other floats and non-numbers raise
+    ``ValueError`` naming the field; nothing is truncated.
+    """
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, Real) and not isinstance(value, bool) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_range(value, name: str, rule) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` lies in the range ``rule``.
+
+    A rule is a (test, text) pair such as ``(lambda v: v >= 0, ">= 0")``;
+    each stage states the ranges of its options once, as rules its own
+    check and :func:`check_fields` (for the config loader) both apply.
+    """
+    test, text = rule
+    if not test(value):
+        raise ValueError(f"{name} must be {text}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -86,6 +112,8 @@ class Schedule:
                 f"unknown schedule family {self.family!r}; expected one of "
                 f"{[f.value for f in Family]}"
             ) from None
+        for name in ("k_min", "k_max", "length"):
+            object.__setattr__(self, name, config_int(getattr(self, name), name))
         if self.alpha is not None and not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.k_min < 1:
@@ -259,19 +287,6 @@ def schedule_to_json(schedule: Schedule) -> dict:
     return out
 
 
-def config_int(value, name: str) -> int:
-    """An integer config field: an int, or a float with an integral value.
-
-    Bools (a JSON ``true`` is not 1), other floats and non-numbers raise
-    ``ValueError`` naming the field; nothing is truncated.
-    """
-    if isinstance(value, Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, Real) and not isinstance(value, bool) and float(value).is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 # Each declared field type beyond the numbers: its Python type, and what the
 # error says a value must be
 _JSON_KINDS = {
@@ -299,16 +314,16 @@ def _check_value(value, kind: str, name: str):
     return value
 
 
-def check_fields(data, section: str, types: dict[str, str], required=()) -> dict:
-    """Config section ``data`` checked against its declared field types.
+def check_fields(data, section: str, types: dict[str, str], required=(), ranges=None) -> dict:
+    """Config section ``data`` checked against its declared field types and ranges.
 
     ``types`` maps every allowed key to one of "int", "float", "bool",
-    "str", "dict" or "list".  An unknown key, a missing ``required`` key or
-    a value of the wrong type (a bool or string as a number, a non-integral
-    integer, a non-finite float) raises ``ValueError`` naming
-    ``section.key``.  Returns the given keys only, ints as ``int`` and
-    floats as ``float``, so absent keys keep the defaults of whatever the
-    section is passed to.
+    "str", "dict" or "list".  An unknown key, a missing ``required`` key, a
+    value of the wrong type (a bool or string as a number, a non-integral
+    integer, a non-finite float) or a value outside its rule in ``ranges``
+    (see :func:`check_range`) raises ``ValueError`` naming ``section.key``.
+    Returns the given keys only, ints as ``int`` and floats as ``float``, so
+    absent keys keep the defaults of whatever the section is passed to.
     """
     _check_value(data, "dict", section)
     for key in data:
@@ -317,7 +332,11 @@ def check_fields(data, section: str, types: dict[str, str], required=()) -> dict
     for key in required:
         if key not in data:
             raise ValueError(f"missing field {section}.{key}")
-    return {key: _check_value(value, types[key], f"{section}.{key}") for key, value in data.items()}
+    checked = {key: _check_value(value, types[key], f"{section}.{key}") for key, value in data.items()}
+    for key, rule in (ranges or {}).items():
+        if key in checked:
+            check_range(checked[key], f"{section}.{key}", rule)
+    return checked
 
 
 # Field types of a schedule object, and the fields it must have
@@ -331,7 +350,7 @@ def schedule_from_json(data: dict) -> Schedule:
 
 
 def save_schedule(schedule: Schedule, path: str | Path) -> None:
-    atomic_write(path, (json.dumps(schedule_to_json(schedule), indent=2) + "\n").encode())
+    atomic_write(path, [(json.dumps(schedule_to_json(schedule), indent=2) + "\n").encode()])
 
 
 def load_schedule(path: str | Path) -> Schedule:
@@ -353,7 +372,7 @@ def write_capacity_csv(report: CapacityReport, path: str | Path) -> None:
                 f"{report.remaining_budget[t]:.12g}",
             ]
         )
-    atomic_write(path, buf.getvalue().encode())
+    atomic_write(path, [buf.getvalue().encode()])
 
 
 def capacity_summary(report: CapacityReport) -> dict:

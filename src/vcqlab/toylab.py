@@ -18,15 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import TokenCorpus, atomic_write, write_corpus
-from .entropy import EntropyProfile, analyze, write_profile_csv
+from .entropy import THRESHOLD_RANGE, EntropyProfile, analyze, write_profile_csv
 from .generation import (
+    MODEL_RANGES,
     POLICY_FIELDS,
+    SAMPLE_RANGES,
     GuidancePolicy,
     fit_counts,
     memorization_report,
     sample_corpus,
 )
-from .quantizer import Codebook, fit_codebook, quantize_batch, write_codebook
+from .quantizer import FIT_RANGES, Codebook, decode, fit_codebook, quantize_batch, write_codebook
 from .schedule import (
     SCHEDULE_FIELDS,
     SCHEDULE_REQUIRED,
@@ -252,8 +254,7 @@ def reconstruction_metrics(
 ) -> tuple[float, float]:
     """(mse, psnr) of decoding tokens back to pixel space (peak value 1.0)."""
     images = np.asarray(images, dtype=np.float64)
-    tokens = np.asarray(tokens, dtype=np.int64)
-    latents = codebook.entries[tokens].astype(np.float64)
+    latents = decode(tokens, codebook).astype(np.float64)
     recon = encoder.decode_images(latents, images.shape[1])
     mse = float(np.mean((images - recon) ** 2))
     return mse, psnr_from_mse(mse)
@@ -326,35 +327,38 @@ def _stage(stage: str, name: str, fn):
         ) from exc
 
 
-# Declared field types and required fields of each experiment config
-# section.  codebook, model and generation are the keyword arguments of
-# fit_codebook, fit_counts and sample_corpus: their defaults live there.
+# Declared field types, required fields and value ranges of each experiment
+# config section.  codebook, model and generation are the keyword arguments
+# of fit_codebook, fit_counts and sample_corpus: their defaults and ranges
+# live there.
 _SECTIONS = {
-    "dataset": ({f.name: f.type for f in fields(SyntheticSpec)}, ()),
-    "encoder": ({"patch_size": "int", "dim": "int"}, ("patch_size", "dim")),
-    "codebook": ({"epochs": "int", "decay": "float", "seed": "int"}, ()),
-    "model": ({"max_order": "int", "smoothing": "float"}, ()),
-    "policy": (POLICY_FIELDS, ()),
-    "generation": ({"n_samples": "int", "seed": "int"}, ()),
+    "dataset": ({f.name: f.type for f in fields(SyntheticSpec)}, (), None),
+    "encoder": ({"patch_size": "int", "dim": "int"}, ("patch_size", "dim"), None),
+    "codebook": ({"epochs": "int", "decay": "float", "seed": "int"}, (), FIT_RANGES),
+    "model": ({"max_order": "int", "smoothing": "float"}, (), MODEL_RANGES),
+    "policy": (POLICY_FIELDS, (), None),
+    "generation": ({"n_samples": "int", "seed": "int"}, (), SAMPLE_RANGES),
 }
 _TOP_FIELDS = {**dict.fromkeys(_SECTIONS, "dict"), "schedules": "list", "cliff_threshold": "float"}
+_TOP_RANGES = {"cliff_threshold": THRESHOLD_RANGE}
 _ARM_FIELDS = {"name": "str", **SCHEDULE_FIELDS}
 
 
 def load_config(config: dict) -> dict:
     """Every section of an experiment config, checked before any work is done.
 
-    Unknown keys, missing required keys and values of the wrong type raise
-    ``ValueError`` naming the field (:func:`~vcqlab.schedule.check_fields`).
+    Unknown keys, missing required keys, values of the wrong type and values
+    outside the range the using stage accepts raise ``ValueError`` naming the
+    field (:func:`~vcqlab.schedule.check_fields`).
     Returns the checked sections under their own keys: ``dataset`` as a
     :class:`SyntheticSpec`, ``schedules`` (when given) as a list of
     (name, Schedule, GuidancePolicy) arms, and every other section as a dict
     of the keys it gives, ready to pass as keyword arguments.
     """
-    top = check_fields(config, "config", _TOP_FIELDS, ("dataset", "encoder"))
+    top = check_fields(config, "config", _TOP_FIELDS, ("dataset", "encoder"), _TOP_RANGES)
     loaded = dict(top)
-    for section, (types, required) in _SECTIONS.items():
-        loaded[section] = check_fields(top.get(section, {}), section, types, required)
+    for section, (types, required, ranges) in _SECTIONS.items():
+        loaded[section] = check_fields(top.get(section, {}), section, types, required, ranges)
     loaded["dataset"] = SyntheticSpec(**loaded["dataset"])
     if "schedules" in top:
         loaded["schedules"] = []
@@ -495,4 +499,4 @@ def write_experiment_report(report: ExperimentReport, outdir: str | Path) -> Non
         write_corpus(r.generated, outdir / f"generated_{name}.vcqt")
         write_codebook(r.codebook, outdir / f"codebook_{name}.vcqc")
     payload = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    atomic_write(outdir / "report.json", payload.encode())
+    atomic_write(outdir / "report.json", [payload.encode()])

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from vcqlab import toylab
 from vcqlab.cli import main
 from vcqlab.corpus import read_corpus
 
@@ -298,7 +299,7 @@ class TestConfigValidation:
             (None, "cliff_threshold", True, "config.cliff_threshold must be a number"),
             (None, "cliff_threshold", math.nan, "config.cliff_threshold must be finite"),
             (None, "cliff_threshold", math.inf, "config.cliff_threshold must be finite"),
-            # a finite threshold the loader accepts reaches cliff_position
+            # the loader checks the range: config.cliff_threshold must be ...
             (None, "cliff_threshold", 0, "threshold must be finite and > 0"),
             ("model", "smoothing", True, "model.smoothing must be a number"),
             ("model", "smoothing", math.nan, "model.smoothing must be finite"),
@@ -312,19 +313,29 @@ class TestConfigValidation:
             ("generation", "n_sample", 20, "unknown generation field 'n_sample'"),
             (None, "polcy", {}, "unknown config field 'polcy'"),
             ("schedules", "alpah", 2.5, "unknown schedules[1] field 'alpah'"),
+            # value ranges, checked by the loader with each stage's own rule
+            ("model", "max_order", -1, "model.max_order must be >= 0"),
+            ("model", "smoothing", 0, "model.smoothing must be finite and > 0"),
+            ("codebook", "decay", 1.5, "codebook.decay must be in (0, 1)"),
+            ("codebook", "epochs", 0, "codebook.epochs must be >= 1"),
+            ("generation", "n_samples", 0, "generation.n_samples must be >= 1"),
         ],
     )
-    def test_bad_experiment_config_is_data_error(self, tmp_path, capsys, section, field, value, message):
+    def test_bad_experiment_config_is_data_error(
+        self, tmp_path, capsys, monkeypatch, section, field, value, message
+    ):
         config = json.loads(json.dumps(TINY_CONFIG))
         target = config if section is None else config[section]
         if section == "schedules":
             target = target[1]
         target[field] = value
+        stages = []  # the loader rejects the config before the first stage runs
+        monkeypatch.setattr(toylab, "generate_dataset", lambda spec: stages.append(spec))
         out = tmp_path / "report"
         assert main(["experiment", "--config", json.dumps(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "data error" in err and message in err
-        assert not out.exists()
+        assert not out.exists() and stages == []
 
     @pytest.mark.parametrize("field, value", [("k_min", 2.9), ("length", True), ("k_max", "32")])
     def test_bad_schedule_field_is_data_error(self, tmp_path, capsys, field, value):

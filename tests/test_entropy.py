@@ -10,6 +10,7 @@ from vcqlab.entropy import (
     chain_rule_check,
     cliff_position,
     conditional_entropy_profile,
+    entropy_from_counts,
     joint_entropy,
     profile_summary,
     prop1_bounds,
@@ -355,6 +356,16 @@ class TestEngineOracle:
                 min(math.log2(k), log_n - oracle_prefix_entropy(corpus.tokens, t))
                 for t in range(corpus.length)
             ]
+
+    def test_entropy_from_counts_matches_loop_oracle(self):
+        rng = np.random.default_rng(31)
+        cases = [[1], [7], [1, 1], [3, 1, 1, 2]]
+        cases += [rng.integers(1, 50, size=int(rng.integers(1, 400))).tolist() for _ in range(40)]
+        cases.append([1] * 100_000 + [2])
+        for counts in cases:
+            want = oracle_entropy(counts)
+            assert repr(entropy_from_counts(counts)) == repr(want)  # -0.0 for one count
+            assert repr(entropy_from_counts(np.array(counts))) == repr(want)
 
     def test_identical_rows_joint_is_negative_zero(self):
         corpus = TokenCorpus(tokens=np.tile([2, 0, 1], (5, 1)), k_max=3)

@@ -400,6 +400,12 @@ class TestDecode:
         with pytest.raises(IndexError):
             decode(np.array([0, 8]), cb)
 
+    @pytest.mark.parametrize("tokens", [np.array([1.7, 2.2]), np.array([True, False])])
+    def test_non_integer_tokens_refused(self, rng, tokens):
+        cb = Codebook(entries=rng.normal(size=(8, 4)))
+        with pytest.raises(ValueError, match="token ids must be integers"):
+            decode(tokens, cb)
+
 
 class TestFitCodebook:
     def test_identical_vectors_single_cluster(self, rng):

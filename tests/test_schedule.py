@@ -75,6 +75,25 @@ class TestCodebookSizeAt:
         with pytest.raises(ValueError):
             Schedule(Family.LINEAR, 8, 4, 8)
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (("constant", 4, 4.5, 3), "k_max"),
+            (("linear", 2.5, 16, 4), "k_min"),
+            (("linear", 2, 16, 4.5), "length"),
+            (("linear", True, 16, 4), "k_min"),
+            (("linear", 2, "16", 4), "k_max"),
+        ],
+    )
+    def test_non_integral_sizes_rejected(self, args, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            Schedule(*args)
+
+    def test_integral_sizes_stored_as_int(self):
+        sched = Schedule("linear", np.int64(2), 16.0, np.uint16(4))
+        assert sched == Schedule(Family.LINEAR, 2, 16, 4)
+        assert all(type(v) is int for v in (sched.k_min, sched.k_max, sched.length))
+
     def test_monotone_non_decreasing_random_schedules(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
