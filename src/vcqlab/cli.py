@@ -82,6 +82,11 @@ def _load_json_arg(value: str) -> dict:
     return json.loads(Path(value).read_text())
 
 
+def _given(args, *names) -> dict:
+    """The options among ``names`` the user set, so the library's defaults apply to the rest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _print_json(data) -> None:
     print(json.dumps(data, indent=2, sort_keys=True))
 
@@ -211,7 +216,7 @@ def cmd_tokenize(args) -> int:
 def cmd_analyze(args) -> int:
     corpus = read_corpus(args.corpus)
     schedule = _resolve_schedule(args.schedule) if args.schedule else None
-    profile = entropy_mod.analyze(corpus, schedule, cliff_threshold=args.threshold)
+    profile = entropy_mod.analyze(corpus, schedule, **_given(args, "cliff_threshold"))
     summary = entropy_mod.profile_summary(profile)
     if args.csv:
         entropy_mod.write_profile_csv(profile, args.csv)
@@ -221,7 +226,7 @@ def cmd_analyze(args) -> int:
         print(f"n_samples      {summary['n_samples']}")
         print(f"length         {summary['length']}")
         print(f"joint_bits     {_fmt(summary['joint_bits'])}")
-        print(f"cliff_position {summary['cliff_position']} (threshold {args.threshold})")
+        print(f"cliff_position {summary['cliff_position']} (threshold {profile.cliff_threshold})")
         head = ", ".join(_fmt(h) for h in profile.conditional_bits[:8])
         print(f"H(x_t|x_<t)    [{head}{', ...' if len(profile.conditional_bits) > 8 else ''}]")
     if args.out:
@@ -233,9 +238,7 @@ def cmd_generate(args) -> int:
     corpus = read_corpus(args.corpus)
     schedule = _resolve_schedule(args.schedule)
     policy = gen_mod.policy_from_json(_load_json_arg(args.policy), schedule)
-    model = gen_mod.fit_counts(
-        corpus, schedule, max_order=args.max_order, smoothing=args.smoothing
-    )
+    model = gen_mod.fit_counts(corpus, schedule, **_given(args, "max_order", "smoothing"))
     generated = gen_mod.sample_corpus(model, policy, n_samples=args.n, seed=args.seed)
     write_corpus(generated, args.out)
     print(f"wrote {generated.n_samples} sampled sequences to {args.out}")
@@ -320,7 +323,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="per-position conditional entropy of a corpus")
     p.add_argument("--corpus", required=True, help=".vcqt file")
     p.add_argument("--schedule", help="preset name or schedule JSON (default: uniform at k_max)")
-    p.add_argument("--threshold", type=float, default=1.0, help="cliff threshold in bits")
+    p.add_argument(
+        "--threshold", type=float, dest="cliff_threshold", help="cliff threshold in bits"
+    )
     p.add_argument("--csv", help="write the per-position profile to this CSV file")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", help="write the JSON summary to this file")
@@ -332,8 +337,8 @@ def build_parser() -> _Parser:
     p.add_argument("--policy", required=True, help='inline JSON or file, e.g. \'{"scale": 2.0}\'')
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-order", type=int, default=4)
-    p.add_argument("--smoothing", type=float, default=0.1)
+    p.add_argument("--max-order", type=int, help="longest context order")
+    p.add_argument("--smoothing", type=float, help="smoothing mass of the back-off")
     p.add_argument("--out", required=True, help="output .vcqt path")
     p.set_defaults(fn=cmd_generate)
 

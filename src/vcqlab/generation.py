@@ -3,10 +3,10 @@ with size-aware classifier-free guidance.
 
 The model stores exact prefix -> next-token counts up to a maximum context
 order, per class and pooled over classes, as arrays: for each position and
-order, the sorted keys of the contexts seen in training and, per scope
-(class or pooled), CSR ranges of (token, count) pairs with per-context
-totals (see ``CountTable``).  Logits are base-2 log probabilities of the
-back-off smoothed distribution
+order, the sorted keys of the contexts seen in training and the sorted
+(context, scope, token) triples seen, scope being a class or the pool,
+with their counts (see ``CountTable``).  Logits are base-2 log
+probabilities of the back-off smoothed distribution
 
     P0(x)   = (C0(x) + a) / (N0 + a * K_t)            position-t unigram
     Po(x)   = (Co(ctx, x) + a * P(o-1)(x)) / (No(ctx) + a)
@@ -39,12 +39,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from numbers import Integral
 
 import numpy as np
 
 from .corpus import TokenCorpus, token_dtype
 from .entropy import refine_groups
-from .schedule import Schedule, check_fields, check_range, codebook_size_at, codebook_sizes
+from .schedule import (
+    Schedule, check_corpus, check_fields, check_range, codebook_size_at, codebook_sizes
+)
 
 __all__ = [
     "GuidancePolicy",
@@ -162,19 +165,17 @@ class CountTable:
     so they stay below N * k_max for N training rows.
 
     Counts are kept per scope: scope c < len(classes) is class c's rows,
-    scope len(classes) is all rows pooled.  ``ids`` lists the sorted
-    ``scope * len(keys) + rank`` of every context seen in its scope;
-    ``tokens[offsets[j]:offsets[j + 1]]`` are the distinct tokens that
-    followed context ``ids[j]``, ascending, with their ``counts``, and
-    ``totals[j]`` is the sum of those counts.
+    scope len(classes) is all rows pooled.  ``pairs`` lists, sorted and
+    distinct, ``base + token`` for every next token seen after a context in
+    a scope, where ``base = (rank * (len(classes) + 1) + scope) * K_t``, and
+    ``counts`` how often each occurred.  The tokens seen after one context
+    in one scope are therefore the run of pairs in [base, base + K_t), and
+    their total is the sum of that run's counts.
     """
 
     keys: np.ndarray
-    ids: np.ndarray
-    offsets: np.ndarray
-    tokens: np.ndarray
+    pairs: np.ndarray
     counts: np.ndarray
-    totals: np.ndarray
 
 
 @dataclass
@@ -203,19 +204,6 @@ def _find(sorted_keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.
     return pos, found
 
 
-def _count_table(
-    keys: np.ndarray, rank: np.ndarray, scope: np.ndarray, nxt: np.ndarray, k_t: int
-) -> CountTable:
-    # ``scope`` lists every row twice (class scope, then pooled scope), so
-    # ``rank`` and ``nxt`` are tiled to match
-    ids, ctx = np.unique(scope * len(keys) + np.tile(rank, 2), return_inverse=True)
-    pairs, counts = np.unique(ctx * k_t + np.tile(nxt, 2), return_counts=True)
-    totals = np.bincount(ctx, minlength=len(ids))
-    offsets = np.zeros(len(ids) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pairs // k_t, minlength=len(ids)), out=offsets[1:])
-    return CountTable(keys, ids, offsets, pairs % k_t, counts, totals)
-
-
 def fit_counts(
     corpus: TokenCorpus,
     schedule: Schedule,
@@ -225,38 +213,35 @@ def fit_counts(
     """Count every (class, context, next-token) occurrence up to max_order.
 
     The corpus must carry labels and respect the schedule's per-position
-    sizes.  Deterministic: counting is pure.
+    sizes, and n_samples * (classes + 1) * k_max must fit in int64, the
+    range of the tables' pairs.  Deterministic: counting is pure.
     """
     if corpus.labels is None:
         raise ValueError("fit_counts requires a labelled corpus")
-    if corpus.length != schedule.length:
-        raise ValueError(
-            f"corpus length {corpus.length} does not match schedule length "
-            f"{schedule.length}"
-        )
     check_range(max_order, "max_order", MODEL_RANGES["max_order"])
     check_range(smoothing, "smoothing", MODEL_RANGES["smoothing"])
-    sizes = codebook_sizes(schedule)
-    per_position_max = corpus.tokens.max(axis=0)
-    for t, k_t in enumerate(sizes):
-        if per_position_max[t] >= k_t:
-            raise ValueError(
-                f"position {t}: token {int(per_position_max[t])} >= K_t {k_t}; "
-                f"corpus does not respect this schedule"
-            )
-
-    tokens = corpus.tokens
+    sizes, _ = check_corpus(corpus, schedule)
+    tokens, n = corpus.tokens, corpus.n_samples
     classes, class_index = np.unique(corpus.labels, return_inverse=True)
-    scope = np.concatenate([class_index, np.full(corpus.n_samples, len(classes))])
+    n_scopes = len(classes) + 1
+    # ranks lie below n, so every pair lies below n * n_scopes * k_max
+    if n * n_scopes * corpus.k_max > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"{n} rows x {n_scopes} scopes x k_max {corpus.k_max} overflows int64 pair keys"
+        )
+    # every row counts twice: in its class scope and in the pooled scope
+    scope = np.concatenate([class_index, np.full(n, len(classes))])
     tables = []
     for t, k_t in enumerate(sizes):
+        nxt = np.tile(tokens[:, t], 2)
         keys = np.zeros(1, dtype=np.int64)
-        rank = np.zeros(corpus.n_samples, dtype=np.int64)
+        rank = np.zeros(n, dtype=np.int64)
         per_order = []
         for order in range(min(max_order, t) + 1):
             if order:
                 keys, rank, _ = refine_groups(rank, tokens[:, t - order], corpus.k_max)
-            per_order.append(_count_table(keys, rank, scope, tokens[:, t], k_t))
+            pairs = (np.tile(rank, 2) * n_scopes + scope) * k_t + nxt
+            per_order.append(CountTable(keys, *np.unique(pairs, return_counts=True)))
         tables.append(per_order)
     return CountModel(
         schedule=schedule,
@@ -279,6 +264,7 @@ def _probs(
     """
     alpha = model.smoothing
     n = len(scope)
+    n_scopes = len(model.classes) + 1
     rank = np.zeros(n, dtype=np.int64)
     seen = np.ones(n, dtype=bool)
     # three (n, K_t) buffers serve every order, updated in place: fewer
@@ -288,17 +274,20 @@ def _probs(
         if order:
             rank, found = _find(table.keys, rank * model.k_max + prefix[:, t - order])
             seen &= found
-        j, hit = _find(table.ids, scope * len(table.keys) + rank)
-        hit &= seen
-        rows = np.flatnonzero(hit)
-        first, stop = table.offsets[j[rows]], table.offsets[j[rows] + 1]
-        width = stop - first
-        # the CSR entry ranges of all hit rows, concatenated
+        # the run of pairs in [base, base + K_t) of every row whose context was seen
+        rows = np.flatnonzero(seen)
+        base = (rank[rows] * n_scopes + scope[rows]) * k_t
+        first = np.searchsorted(table.pairs, base)
+        width = np.searchsorted(table.pairs, base + k_t) - first
+        # those runs, concatenated; each owner row's total sums its run
+        # exactly, as every count and total is an integer below 2**53, and
+        # is 0 exactly where the row's context is unseen in its scope
         entries = np.arange(width.sum()) + np.repeat(first - np.cumsum(width) + width, width)
+        owner = np.repeat(rows, width)
+        counts = table.counts[entries]
         vec.fill(0.0)
-        vec[np.repeat(rows, width), table.tokens[entries]] = table.counts[entries]
-        total = np.zeros(n, dtype=np.int64)
-        total[rows] = table.totals[j[rows]]
+        vec[owner, table.pairs[entries] - np.repeat(base, width)] = counts
+        total = np.bincount(owner, weights=counts, minlength=n)
         if order == 0:
             # position-t unigram with per-outcome Laplace mass over the K_t support
             np.add(vec, alpha, out=probs)
@@ -310,12 +299,20 @@ def _probs(
             np.multiply(probs, alpha, out=scaled)
             vec += scaled
             vec /= (total + alpha)[:, None]
-            np.copyto(probs, vec, where=hit[:, None])
+            np.copyto(probs, vec, where=(total > 0)[:, None])
     return probs
+
+
+def _check_integers(values, name: str) -> None:
+    """Refuse bools and non-integers, which would otherwise read as equal ints."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be integers, got {value!r}")
 
 
 def _scopes(model: CountModel, labels) -> np.ndarray:
     """Table scope of each label: its class index, or the pooled scope for None."""
+    _check_integers([label for label in labels if label is not None], "class ids")
     index = {label: i for i, label in enumerate(model.classes)}
     index[None] = len(model.classes)
     unknown = sorted({repr(label) for label in labels if label not in index})
@@ -338,6 +335,7 @@ def logits(model: CountModel, label: int | None, prefix, t: int) -> np.ndarray:
     prefix = list(prefix)
     if len(prefix) != t:
         raise ValueError(f"prefix must hold exactly {t} tokens, got {len(prefix)}")
+    _check_integers(prefix, "prefix tokens")
     if any(not 0 <= p < model.k_max for p in prefix):
         raise ValueError(f"prefix tokens must lie in [0, {model.k_max})")
     scope = _scopes(model, [label])

@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import TokenCorpus, atomic_write
-from .schedule import Schedule, check_range, codebook_sizes
+from .schedule import Schedule, check_corpus, check_range, codebook_sizes
 
 __all__ = [
     "Codebook",
@@ -344,11 +344,10 @@ def fit_codebook(
 ) -> Codebook:
     """Fit a shared codebook by EMA k-means with prefix-constrained assignment.
 
-    ``latent_corpus`` is an (n, L, d) array (or an iterable of L x d
-    matrices).  Entries are initialized from randomly sampled latent
-    vectors.  Each epoch assigns every latent at position t to its nearest
-    entry among the first K_t (the exact kernel :func:`quantize_batch`
-    uses), accumulates per-entry counts and vector sums, then updates the
+    ``latent_corpus`` is an (n, L, d) array.  Entries are initialized from
+    randomly sampled latent vectors.  Each epoch assigns every latent at
+    position t to its nearest entry among the first K_t (the exact kernel
+    :func:`quantize_batch` uses), accumulates per-entry counts and vector sums, then updates the
     exponential moving averages
 
         size_i <- decay * size_i + (1 - decay) * count_i
@@ -394,8 +393,6 @@ def fit_codebook(
     for bit, as with every latent scored every epoch.  The bound state is
     three arrays of L n values.
     """
-    if not isinstance(latent_corpus, np.ndarray):
-        latent_corpus = np.stack([np.asarray(m, dtype=np.float64) for m in latent_corpus])
     latents = np.asarray(latent_corpus, dtype=np.float64)
     if latents.ndim != 3 or latents.size == 0:
         raise ValueError(f"latent corpus must be non-empty (n, L, d), got shape {latents.shape}")
@@ -473,21 +470,8 @@ def utilization_profile(tokens_corpus: TokenCorpus, schedule: Schedule) -> list[
     Raises if any observed token id reaches K_t: that means the corpus was
     produced under a different schedule.
     """
-    if tokens_corpus.length != schedule.length:
-        raise ValueError(
-            f"corpus length {tokens_corpus.length} does not match schedule "
-            f"length {schedule.length}"
-        )
-    sizes = codebook_sizes(schedule)
+    sizes, top = check_corpus(tokens_corpus, schedule)
     tokens = tokens_corpus.tokens
-    top = tokens.max(axis=0)
-    bad = np.flatnonzero(top >= np.asarray(sizes))
-    if bad.size:
-        t = int(bad[0])
-        raise ValueError(
-            f"position {t}: token {int(top[t])} >= K_t {sizes[t]}; corpus "
-            f"does not match this schedule"
-        )
     # mark every observed (t, token) in one mask with top[t] + 1 <= K_t cells
     # for position t, starting at offsets[t], so the mask is bounded by the
     # ids present, not by k_max; row blocks bound the int64 index memory

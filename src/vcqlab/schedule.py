@@ -32,6 +32,7 @@ __all__ = [
     "SCHEDULE_PRESETS",
     "codebook_size_at",
     "codebook_sizes",
+    "check_corpus",
     "cumulative_capacity",
     "tstar_uniform",
     "data_threshold",
@@ -165,6 +166,27 @@ def codebook_size_at(schedule: Schedule, t: int) -> int:
 def codebook_sizes(schedule: Schedule) -> list[int]:
     """All K_t for t = 0 .. L-1."""
     return [codebook_size_at(schedule, t) for t in range(schedule.length)]
+
+
+def check_corpus(corpus, schedule: Schedule):
+    """K_t of every position and the largest token a corpus holds there.
+
+    Returns ``(sizes, top)``.  Raises ``ValueError`` unless the corpus has the
+    schedule's length and every token at position t lies below K_t: a corpus
+    that breaks either was produced under a different schedule.
+    """
+    if corpus.length != schedule.length:
+        raise ValueError(
+            f"corpus length {corpus.length} does not match schedule length {schedule.length}"
+        )
+    sizes = codebook_sizes(schedule)
+    top = corpus.tokens.max(axis=0)
+    for t, (high, k_t) in enumerate(zip(top.tolist(), sizes)):
+        if high >= k_t:
+            raise ValueError(
+                f"position {t}: token {high} >= K_t {k_t}; corpus does not match this schedule"
+            )
+    return sizes, top
 
 
 def cumulative_capacity(schedule: Schedule, t: int) -> float:

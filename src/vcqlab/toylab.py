@@ -391,7 +391,8 @@ def run_cliff_experiment(config: dict) -> ExperimentReport:
     stage and schedule named.
     """
     loaded = load_config(config)
-    threshold = loaded.get("cliff_threshold", 1.0)
+    # analyze's own default applies when the config gives no threshold
+    threshold = {key: loaded[key] for key in ("cliff_threshold",) if key in loaded}
     dataset, encoder = build_inputs(loaded)
     latents = _stage("encode", "shared", lambda: encoder.encode_images(dataset.images))
 
@@ -413,7 +414,7 @@ def run_cliff_experiment(config: dict) -> ExperimentReport:
                 labels=dataset.labels,
             ),
         )
-        profile = _stage("entropy", name, lambda: analyze(corpus, schedule, threshold))
+        profile = _stage("entropy", name, lambda: analyze(corpus, schedule, **threshold))
         mse, psnr = _stage(
             "reconstruction",
             name,

@@ -1,9 +1,15 @@
 import dataclasses
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vcqlab
 import vcqlab.generation
 from vcqlab.corpus import TokenCorpus
 from vcqlab.generation import (
@@ -33,7 +39,8 @@ def decode_tables(model):
     """``model.tables`` as dicts: {(label, t, ctx): {token: count}} per class
     and {(t, ctx): {token: count}} pooled, ctx being the tuple of context tokens."""
     class_counts, pooled_counts = {}, {}
-    for t, per_order in enumerate(model.tables):
+    pooled = len(model.classes)
+    for t, (per_order, k_t) in enumerate(zip(model.tables, codebook_sizes(model.schedule))):
         contexts = [()]  # context tuple of each rank, one order shorter
         for order, table in enumerate(per_order):
             if order:
@@ -41,15 +48,15 @@ def decode_tables(model):
                     (key % model.k_max,) + contexts[key // model.k_max]
                     for key in table.keys.tolist()
                 ]
-            for j, ctx_id in enumerate(table.ids.tolist()):
-                scope, rank = divmod(ctx_id, len(table.keys))
-                lo, hi = table.offsets[j], table.offsets[j + 1]
-                bucket = dict(zip(table.tokens[lo:hi].tolist(), table.counts[lo:hi].tolist()))
-                assert sum(bucket.values()) == table.totals[j]
-                if scope == len(model.classes):
-                    pooled_counts[(t, contexts[rank])] = bucket
+            assert np.all(np.diff(table.pairs) > 0) and np.all(table.counts > 0)
+            for pair, count in zip(table.pairs.tolist(), table.counts.tolist()):
+                run, token = divmod(pair, k_t)
+                rank, scope = divmod(run, pooled + 1)
+                if scope == pooled:
+                    bucket = pooled_counts.setdefault((t, contexts[rank]), {})
                 else:
-                    class_counts[(model.classes[scope], t, contexts[rank])] = bucket
+                    bucket = class_counts.setdefault((model.classes[scope], t, contexts[rank]), {})
+                bucket[token] = count
     return class_counts, pooled_counts
 
 
@@ -256,7 +263,7 @@ class TestFitCounts:
     def test_schedule_violation_rejected(self):
         corpus = make_corpus([[7, 0]], 8, [0])
         sched = Schedule(Family.LINEAR, 2, 8, 2)  # K_0 = 2 but token 7 observed
-        with pytest.raises(ValueError, match="does not respect"):
+        with pytest.raises(ValueError, match="does not match this schedule"):
             fit_counts(corpus, sched)
 
     def test_pooled_is_sum_over_classes(self):
@@ -269,6 +276,32 @@ class TestFitCounts:
                 for token, count in class_counts.get((label, t, ctx), {}).items():
                     by_class[token] = by_class.get(token, 0) + count
             assert by_class == bucket
+
+    def test_table_fields(self):
+        assert [f.name for f in dataclasses.fields(CountTable)] == ["keys", "pairs", "counts"]
+
+    def test_pair_overflow_refused_before_counting(self, monkeypatch):
+        # n * (n_classes + 1) * k_max is 46341 * 46342 * 2**32 > 2**63 - 1
+        n, k_max = 46341, 2**32
+        corpus = make_corpus(np.zeros((n, 1), dtype=np.uint32), k_max, np.arange(n))
+        sched = Schedule(Family.CONSTANT, k_max, k_max, 1)
+
+        def no_counting(*args, **kwargs):
+            raise AssertionError("counting started")
+
+        monkeypatch.setattr(vcqlab.generation, "CountTable", no_counting)
+        with pytest.raises(ValueError, match="46341 rows x 46342 scopes x k_max 4294967296"):
+            fit_counts(corpus, sched, max_order=0)
+
+    def test_largest_pair_below_int64_bound(self):
+        # 46340 * 46341 * 2**32 <= 2**63 - 1: accepted, and the pooled
+        # scope's pair at the largest token is exact
+        n, k_max = 46340, 2**32
+        corpus = make_corpus(np.full((n, 1), k_max - 1, dtype=np.uint32), k_max, np.arange(n))
+        model = fit_counts(corpus, Schedule(Family.CONSTANT, k_max, k_max, 1), max_order=0)
+        table = model.tables[0][0]
+        assert table.pairs[-1] == n * k_max + k_max - 1  # rank 0, pooled scope n
+        assert table.counts[-1] == n and table.pairs[0] == k_max - 1
 
     def test_deterministic(self):
         corpus = make_corpus([[0, 1], [1, 2], [2, 3]], 8, [0, 1, 0])
@@ -292,6 +325,43 @@ class TestFitCounts:
         assert decode_tables(model) == reference_fit(corpus, max_order)
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_fit_counts_memory_is_bounded():
+    """fit_counts(max_order=4) on a labelled 6,000 x 256 corpus of the cosine
+    preset (10 classes, uniform ids below K_t), in a fresh process: its peak
+    RSS grows by under 350 MB.  Past the cliff nearly every context is
+    unique, so each of the 1,270 tables holds about 2n (context, scope,
+    token) pairs and their counts (about 240 MB in all); the CSR tables of
+    six arrays this layout replaced peaked near 500 MB.  The peak is the
+    process's VmHWM, as a child's ru_maxrss starts at its parent's."""
+    script = (
+        "import numpy as np\n"
+        "from vcqlab.corpus import TokenCorpus\n"
+        "from vcqlab.generation import fit_counts\n"
+        "from vcqlab.schedule import SCHEDULE_PRESETS, codebook_sizes\n"
+        "def peak_kb():\n"
+        "    status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+        "    return int(status.split()[0])\n"
+        "sched = SCHEDULE_PRESETS['cosine']\n"
+        "rng = np.random.default_rng(0)\n"
+        "ids = [rng.integers(0, k, size=6000, dtype=np.uint16) for k in codebook_sizes(sched)]\n"
+        "labels = rng.integers(0, 10, size=6000)\n"
+        "corpus = TokenCorpus(tokens=np.stack(ids, axis=1), k_max=sched.k_max, labels=labels)\n"
+        "del ids\n"
+        "base = peak_kb()\n"
+        "fit_counts(corpus, sched, max_order=4)\n"
+        "print((peak_kb() - base) / 1024)\n"
+    )
+    src = str(Path(vcqlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120,
+        check=True,
+    )
+    growth_mb = float(done.stdout)
+    assert growth_mb < 350, f"fit_counts grew peak RSS by {growth_mb:.1f} MB"
+
+
 class TestLogits:
     def test_unseen_context_backs_off_to_unigram(self):
         sched = Schedule(Family.CONSTANT, 4, 4, 2)
@@ -311,7 +381,7 @@ class TestLogits:
         model = fit_counts(corpus, sched, max_order=0, smoothing=0.5)
         # empty tables simulate a fully untrained position
         none = np.zeros(0, dtype=np.int64)
-        empty = CountTable(none, none, np.zeros(1, dtype=np.int64), none, none, none)
+        empty = CountTable(none, none, none)
         model.tables = [[empty] for _ in model.tables]
         out = logits(model, None, [0], 1)
         assert np.allclose(out[:4], -2.0, atol=1e-12)
@@ -355,6 +425,29 @@ class TestLogits:
         model = fit_counts(corpus, Schedule(Family.CONSTANT, 8, 8, 2))
         with pytest.raises(ValueError, match="prefix"):
             logits(model, None, [0, 0], 1)
+
+    @pytest.mark.parametrize("label", [1.0, True, np.float64(1.0), np.bool_(True)])
+    def test_non_integer_label_refused(self, label):
+        corpus = make_corpus([[0, 1], [1, 0]], 4, [0, 1])
+        sched = Schedule(Family.CONSTANT, 4, 4, 2)
+        model = fit_counts(corpus, sched)
+        with pytest.raises(ValueError, match=re.escape(f"class ids must be integers, got {label!r}")):
+            logits(model, label, [0], 1)
+        with pytest.raises(ValueError, match=re.escape(f"class ids must be integers, got {label!r}")):
+            sample_sequence(model, label, GuidancePolicy(schedule=sched), seed=0)
+
+    @pytest.mark.parametrize("token", [1.7, 1.0, True, np.float64(1.0)])
+    def test_non_integer_prefix_token_refused(self, token):
+        corpus = make_corpus([[0, 1], [1, 0]], 4, [0, 1])
+        model = fit_counts(corpus, Schedule(Family.CONSTANT, 4, 4, 2))
+        with pytest.raises(ValueError, match=re.escape(f"prefix tokens must be integers, got {token!r}")):
+            logits(model, 0, [token], 1)
+
+    def test_integer_like_prefix_and_label_accepted(self):
+        corpus = make_corpus([[0, 1], [1, 0]], 4, [0, 1])
+        model = fit_counts(corpus, Schedule(Family.CONSTANT, 4, 4, 2))
+        expected = logits(model, 1, [1], 1)
+        assert np.array_equal(logits(model, np.int64(1), np.array([1], dtype=np.uint8), 1), expected)
 
     def test_unknown_class_rejected(self):
         corpus = make_corpus([[0, 1]], 8, [0])
@@ -429,6 +522,9 @@ class TestSampling:
             sample_corpus(model, policy, n_samples=4, seed=0, labels=[0, 5, 1, 8])
         with pytest.raises(ValueError, match="None"):
             sample_corpus(model, policy, n_samples=2, seed=0, labels=[0, None])
+        for bad in (1.0, True):
+            with pytest.raises(ValueError, match=f"class ids must be integers, got {bad!r}"):
+                sample_corpus(model, policy, n_samples=2, seed=0, labels=[0, bad])
 
     def test_first_token_distribution_chi_squared(self):
         # sampler correctness: first tokens follow the class-conditional

@@ -436,12 +436,6 @@ class TestFitCodebook:
         cb2 = fit_codebook(latents, sched, k_max=16, d=3, epochs=5, seed=7)
         assert cb1.entries.tobytes() == cb2.entries.tobytes()
 
-    def test_accepts_iterable_of_matrices(self, rng):
-        mats = [rng.normal(size=(4, 2)) for _ in range(10)]
-        sched = Schedule(Family.CONSTANT, 4, 4, 4)
-        cb = fit_codebook(iter(mats), sched, k_max=4, d=2, epochs=2, seed=0)
-        assert cb.entries.shape == (4, 2)
-
     def test_empty_corpus_rejected(self):
         sched = Schedule(Family.CONSTANT, 2, 2, 4)
         with pytest.raises(ValueError, match="non-empty"):
