@@ -288,6 +288,8 @@ def analyze(
     """
     if schedule is None:
         schedule = Schedule("constant", corpus.k_max, corpus.k_max, corpus.length)
+    # checks the corpus against the schedule before the pass, not after it
+    utilization = utilization_profile(corpus, schedule)
     sweep = _refinement_pass(corpus.tokens, corpus.k_max)
     bounds = _bounds(corpus, schedule, None, sweep)
     return EntropyProfile(
@@ -297,7 +299,7 @@ def analyze(
         prop1_bound=bounds.prop1,
         exact_bound=bounds.exact,
         cliff_position=cliff_position(sweep.conditional, cliff_threshold),
-        utilization=utilization_profile(corpus, schedule),
+        utilization=utilization,
         cliff_threshold=cliff_threshold,
         n_samples=corpus.n_samples,
         prop1_uniform_k=bounds.uniform_k,

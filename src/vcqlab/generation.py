@@ -46,7 +46,7 @@ import numpy as np
 from .corpus import TokenCorpus, token_dtype
 from .entropy import refine_groups
 from .schedule import (
-    Schedule, check_corpus, check_fields, check_range, codebook_size_at, codebook_sizes
+    Schedule, at_least, check_corpus, check_fields, check_range, codebook_size_at, codebook_sizes
 )
 
 __all__ = [
@@ -64,6 +64,7 @@ __all__ = [
     "policy_from_json",
     "policy_to_json",
     "POLICY_FIELDS",
+    "POLICY_RANGES",
     "MODEL_RANGES",
     "SAMPLE_RANGES",
 ]
@@ -75,10 +76,10 @@ _RAMPS = ("none", "cosine")
 # Ranges of fit_counts' and sample_corpus' options, checked by those
 # functions and by the config loader for the model and generation sections
 MODEL_RANGES = {
-    "max_order": (lambda v: v >= 0, ">= 0"),
+    "max_order": at_least(0),
     "smoothing": (lambda v: 0 < v < math.inf, "finite and > 0"),
 }
-SAMPLE_RANGES = {"n_samples": (lambda v: v >= 1, ">= 1")}
+SAMPLE_RANGES = {"n_samples": at_least(1), "seed": at_least(0)}
 
 
 @dataclass(frozen=True)
@@ -93,19 +94,20 @@ class GuidancePolicy:
     temperature: float = 1.0
 
     def __post_init__(self) -> None:
-        check_fields({name: getattr(self, name) for name in POLICY_FIELDS}, "policy", POLICY_FIELDS)
-        if self.scale < 0:
-            raise ValueError(f"scale must be >= 0, got {self.scale}")
-        if self.ramp not in _RAMPS:
-            raise ValueError(f"ramp must be one of {_RAMPS}, got {self.ramp!r}")
-        if self.power <= 0:
-            raise ValueError(f"power must be > 0, got {self.power}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        own = {name: getattr(self, name) for name in POLICY_FIELDS}
+        for name, value in check_fields(own, "policy", POLICY_FIELDS, ranges=POLICY_RANGES).items():
+            object.__setattr__(self, name, value)
 
 
-# Field types of a policy config object: every GuidancePolicy field but the schedule
+# Field types and ranges of a policy config object: every GuidancePolicy
+# field but the schedule
 POLICY_FIELDS = {f.name: f.type for f in fields(GuidancePolicy) if f.name != "schedule"}
+POLICY_RANGES = {
+    "scale": at_least(0),
+    "ramp": (lambda v: v in _RAMPS, f"one of {_RAMPS}"),
+    "power": (lambda v: v > 0, "> 0"),
+    "temperature": at_least(0),
+}
 
 
 def size_aware_scale(policy: GuidancePolicy, t: int) -> float:
@@ -218,8 +220,8 @@ def fit_counts(
     """
     if corpus.labels is None:
         raise ValueError("fit_counts requires a labelled corpus")
-    check_range(max_order, "max_order", MODEL_RANGES["max_order"])
-    check_range(smoothing, "smoothing", MODEL_RANGES["smoothing"])
+    for name, value in (("max_order", max_order), ("smoothing", smoothing)):
+        check_range(value, name, MODEL_RANGES[name])
     sizes, _ = check_corpus(corpus, schedule)
     tokens, n = corpus.tokens, corpus.n_samples
     classes, class_index = np.unique(corpus.labels, return_inverse=True)
@@ -391,11 +393,11 @@ def _sample_rows(
     return out
 
 
-def _check_lengths(model: CountModel, policy: GuidancePolicy) -> None:
-    if policy.schedule.length != model.length:
+def _check_schedule(model: CountModel, policy: GuidancePolicy) -> None:
+    """Refuse a policy on another schedule: its s_t would come from the wrong K_t."""
+    if policy.schedule != model.schedule:
         raise ValueError(
-            f"policy schedule length {policy.schedule.length} does not match "
-            f"model length {model.length}"
+            f"policy schedule {policy.schedule} does not match model schedule {model.schedule}"
         )
 
 
@@ -413,7 +415,7 @@ def sample_sequence(
     ``random()`` of ``default_rng(seed)``.  Equal to row i of
     ``sample_corpus(..., seed=s)`` for seed (s, i) and that row's label.
     """
-    _check_lengths(model, policy)
+    _check_schedule(model, policy)
     scope = _scopes(model, [label])
     uniforms = None
     if policy.temperature != 0.0:
@@ -440,8 +442,9 @@ def sample_corpus(
     uniform per position from its own generator, so results are
     independent of how rows are batched.
     """
-    check_range(n_samples, "n_samples", SAMPLE_RANGES["n_samples"])
-    _check_lengths(model, policy)
+    for name, value in (("n_samples", n_samples), ("seed", seed)):
+        check_range(value, name, SAMPLE_RANGES[name])
+    _check_schedule(model, policy)
     if labels is None:
         classes = model.classes or [0]
         labels = [classes[i % len(classes)] for i in range(n_samples)]

@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import TokenCorpus, atomic_write
-from .schedule import Schedule, check_corpus, check_range, codebook_sizes
+from .schedule import Schedule, at_least, check_corpus, check_range, codebook_sizes
 
 __all__ = [
     "Codebook",
@@ -86,8 +86,9 @@ _CHUNK = 1 << 15
 # Ranges of fit_codebook's options, checked by fit_codebook and by the
 # config loader for the codebook section
 FIT_RANGES = {
-    "epochs": (lambda v: v >= 1, ">= 1"),
+    "epochs": at_least(1),
     "decay": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "seed": at_least(0),
 }
 
 
@@ -241,21 +242,6 @@ def _score_table(entries: np.ndarray) -> np.ndarray:
     return table
 
 
-def _assign(z1s: np.ndarray, entries: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """Kernel tokens at every position: (L, n, d+1) rows -> (L, n) tokens."""
-    table = _score_table(entries)
-    return np.stack([_nearest(z1s[t], entries, table, k_t)[0] for t, k_t in enumerate(sizes)])
-
-
-def _check_latent(z: np.ndarray, dim: int) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (dim,):
-        raise ValueError(f"latent must have shape ({dim},), got {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("latent vector contains non-finite values")
-    return z
-
-
 def quantize_position(
     z: np.ndarray, codebook: Codebook, k_t: int
 ) -> tuple[int, np.ndarray, float]:
@@ -266,22 +252,19 @@ def quantize_position(
     """
     if not 1 <= k_t <= codebook.k_max:
         raise IndexError(f"k_t {k_t} out of range [1, {codebook.k_max}]")
-    z = _check_latent(z, codebook.dim)
-    entries = codebook.entries[:k_t].astype(np.float64)
-    token = int(_assign(_with_ones(z[None, None, :]), entries, [k_t])[0, 0])
-    return token, codebook.entries[token].copy(), float(_sqdist(entries[token], z))
+    # a (d,) latent is a one-position sequence; any other shape fails the batch check
+    one = Schedule("constant", k_t, k_t, 1)
+    tokens, distances = quantize_batch(np.asarray(z)[None, None], one, codebook)
+    token = int(tokens[0, 0])
+    return token, codebook.entries[token].copy(), float(distances[0, 0])
 
 
 def quantize_sequence(
     latents: np.ndarray, schedule: Schedule, codebook: Codebook
 ) -> QuantizationResult:
     """Quantize an L x d latent sequence under the schedule's K_t restriction."""
-    latents = np.asarray(latents, dtype=np.float64)
-    if latents.ndim != 2 or latents.shape[0] != schedule.length:
-        raise ValueError(
-            f"latents must have shape ({schedule.length}, d), got {latents.shape}"
-        )
-    tokens, distances = quantize_batch(latents[None], schedule, codebook)
+    # one sequence is a batch of one; any other shape fails the batch check
+    tokens, distances = quantize_batch(np.asarray(latents)[None], schedule, codebook)
     return QuantizationResult(
         tokens=tokens[0], quantized=codebook.entries[tokens[0]], distances=distances[0]
     )
@@ -312,7 +295,8 @@ def quantize_batch(
     if not np.all(np.isfinite(latents)):
         raise ValueError("latents contain non-finite values")
     entries = codebook.entries[: schedule.k_max].astype(np.float64)
-    tokens = np.ascontiguousarray(_assign(_with_ones(latents), entries, codebook_sizes(schedule)).T)
+    z1s, table, sizes = _with_ones(latents), _score_table(entries), codebook_sizes(schedule)
+    tokens = np.stack([_nearest(z1s[t], entries, table, k_t)[0] for t, k_t in enumerate(sizes)], axis=1)
     return tokens, _sqdist(entries[tokens], latents)
 
 
@@ -405,8 +389,8 @@ def fit_codebook(
         )
     if schedule.k_max > k_max:
         raise ValueError(f"schedule k_max {schedule.k_max} exceeds codebook size {k_max}")
-    check_range(decay, "decay", FIT_RANGES["decay"])
-    check_range(epochs, "epochs", FIT_RANGES["epochs"])
+    for name, value in (("decay", decay), ("epochs", epochs), ("seed", seed)):
+        check_range(value, name, FIT_RANGES[name])
 
     rng = np.random.default_rng(seed)
     flat = latents.reshape(n * length, d)

@@ -46,9 +46,11 @@ __all__ = [
     "capacity_summary",
     "config_int",
     "check_range",
+    "at_least",
     "check_fields",
     "SCHEDULE_FIELDS",
     "SCHEDULE_REQUIRED",
+    "SCHEDULE_RANGES",
 ]
 
 # Positions whose cumulative capacity falls within this many bits of the
@@ -81,13 +83,18 @@ def config_int(value, name: str) -> int:
 def check_range(value, name: str, rule) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` lies in the range ``rule``.
 
-    A rule is a (test, text) pair such as ``(lambda v: v >= 0, ">= 0")``;
+    A rule is a (test, text) pair such as ``(lambda v: v > 0, "> 0")``;
     each stage states the ranges of its options once, as rules its own
     check and :func:`check_fields` (for the config loader) both apply.
     """
     test, text = rule
     if not test(value):
         raise ValueError(f"{name} must be {text}, got {value}")
+
+
+def at_least(bound):
+    """The range rule ``value >= bound``."""
+    return (lambda v: v >= bound, f">= {bound}")
 
 
 @dataclass(frozen=True)
@@ -106,35 +113,23 @@ class Schedule:
     alpha: float | None = None
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "family", Family(self.family))
-        except ValueError:
-            raise ValueError(
-                f"unknown schedule family {self.family!r}; expected one of "
-                f"{[f.value for f in Family]}"
-            ) from None
-        for name in ("k_min", "k_max", "length"):
-            object.__setattr__(self, name, config_int(getattr(self, name), name))
-        if self.alpha is not None and not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
-        if self.k_min < 1:
-            raise ValueError(f"k_min must be >= 1, got {self.k_min}")
+        # a None field is absent: alpha may be, the required ones may not
+        given = {name: getattr(self, name) for name in SCHEDULE_FIELDS if getattr(self, name) is not None}
+        checked = check_fields(given, "schedule", SCHEDULE_FIELDS, SCHEDULE_REQUIRED, SCHEDULE_RANGES)
+        checked["family"] = Family(checked["family"])
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if self.k_max < self.k_min:
             raise ValueError(
                 f"k_max must be >= k_min, got k_min={self.k_min} k_max={self.k_max}"
             )
-        if self.length < 1:
-            raise ValueError(f"length must be >= 1, got {self.length}")
         if self.family is not Family.CONSTANT and self.length < 2:
             raise ValueError(
                 f"{self.family.value} schedule needs length >= 2 to satisfy "
                 f"its boundary conditions, got {self.length}"
             )
-        if self.family is Family.POWER:
-            if self.alpha is None or self.alpha <= 0:
-                raise ValueError(
-                    f"power schedule requires a positive alpha, got {self.alpha}"
-                )
+        if self.family is Family.POWER and (self.alpha is None or self.alpha <= 0):
+            raise ValueError(f"power schedule requires a positive alpha, got {self.alpha}")
 
 
 def _fraction(schedule: Schedule, tau: float) -> float:
@@ -203,8 +198,7 @@ def tstar_uniform(n_samples: int, k: int) -> int:
     boundary cases at exact powers of K are never off by a float ulp.
     Returns 0 for a single-sample dataset.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    check_range(n_samples, "n_samples", at_least(1))
     if k < 2:
         raise ValueError(f"k must be >= 2 (log2 K vanishes at K=1), got {k}")
     t, reach = 0, 1
@@ -220,10 +214,8 @@ def data_threshold(k: int, m: int) -> int:
     Exact arbitrary-precision integer; K**4 already overflows 32-bit and
     brushes against 64-bit for large K.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    for name, value in (("k", k), ("m", m)):
+        check_range(value, name, at_least(1))
     return k ** (m - 1)
 
 
@@ -257,10 +249,8 @@ def capacity_report(
     schedule: Schedule, n_samples: int, pixel_count: int = 65536
 ) -> CapacityReport:
     """Evaluate sizes, bit budget, mean codebook size, BPP and t* in one pass."""
-    if pixel_count < 1:
-        raise ValueError(f"pixel_count must be >= 1, got {pixel_count}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    for name, value in (("pixel_count", pixel_count), ("n_samples", n_samples)):
+        check_range(value, name, at_least(1))
     sizes = codebook_sizes(schedule)
     bits = [math.log2(k) for k in sizes]
     # I(t), the one capacity computation: cumulative_capacity and tstar_vcq
@@ -283,17 +273,6 @@ def capacity_report(
         n_samples=n_samples,
         pixel_count=pixel_count,
     )
-
-
-# The six standard parameterizations (sequence length 256, 256x256 pixels).
-SCHEDULE_PRESETS: dict[str, Schedule] = {
-    "constant16k": Schedule(Family.CONSTANT, 16384, 16384, 256),
-    "constant8k": Schedule(Family.CONSTANT, 8192, 8192, 256),
-    "linear": Schedule(Family.LINEAR, 2, 16384, 256),
-    "cosine": Schedule(Family.COSINE, 2, 16384, 256),
-    "power2.5": Schedule(Family.POWER, 2, 16384, 256, alpha=2.5),
-    "cosine-l": Schedule(Family.COSINE, 2, 11264, 256),
-}
 
 
 def schedule_to_json(schedule: Schedule) -> dict:
@@ -361,9 +340,26 @@ def check_fields(data, section: str, types: dict[str, str], required=(), ranges=
     return checked
 
 
-# Field types of a schedule object, and the fields it must have
+# Field types of a schedule object, the fields it must have and their ranges
 SCHEDULE_FIELDS = {"family": "str", "k_min": "int", "k_max": "int", "length": "int", "alpha": "float"}
 SCHEDULE_REQUIRED = ("family", "k_min", "k_max", "length")
+_FAMILIES = tuple(f.value for f in Family)
+SCHEDULE_RANGES = {
+    "family": (lambda v: v in _FAMILIES, f"one of {_FAMILIES}"),
+    "k_min": at_least(1),
+    "length": at_least(1),
+}
+
+
+# The six standard parameterizations (sequence length 256, 256x256 pixels).
+SCHEDULE_PRESETS: dict[str, Schedule] = {
+    "constant16k": Schedule(Family.CONSTANT, 16384, 16384, 256),
+    "constant8k": Schedule(Family.CONSTANT, 8192, 8192, 256),
+    "linear": Schedule(Family.LINEAR, 2, 16384, 256),
+    "cosine": Schedule(Family.COSINE, 2, 16384, 256),
+    "power2.5": Schedule(Family.POWER, 2, 16384, 256, alpha=2.5),
+    "cosine-l": Schedule(Family.COSINE, 2, 11264, 256),
+}
 
 
 def schedule_from_json(data: dict) -> Schedule:

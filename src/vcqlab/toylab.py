@@ -22,6 +22,7 @@ from .entropy import THRESHOLD_RANGE, EntropyProfile, analyze, write_profile_csv
 from .generation import (
     MODEL_RANGES,
     POLICY_FIELDS,
+    POLICY_RANGES,
     SAMPLE_RANGES,
     GuidancePolicy,
     fit_counts,
@@ -32,8 +33,11 @@ from .quantizer import FIT_RANGES, Codebook, decode, fit_codebook, quantize_batc
 from .schedule import (
     SCHEDULE_FIELDS,
     SCHEDULE_REQUIRED,
+    SCHEDULE_RANGES,
     Schedule,
+    at_least,
     check_fields,
+    check_range,
     schedule_to_json,
     tstar_vcq,
 )
@@ -75,12 +79,19 @@ class SyntheticSpec:
     blobs_per_class: int = 3
 
     def __post_init__(self) -> None:
-        if self.n_classes < 1:
-            raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
-        if self.n_per_class < 0:
-            raise ValueError(f"n_per_class must be >= 0, got {self.n_per_class}")
-        if self.image_size < 1:
-            raise ValueError(f"image_size must be >= 1, got {self.image_size}")
+        own = {name: getattr(self, name) for name in DATASET_FIELDS}
+        for name, value in check_fields(own, "dataset", DATASET_FIELDS, ranges=DATASET_RANGES).items():
+            object.__setattr__(self, name, value)
+
+
+# Field types and ranges of a dataset config object: the fields of SyntheticSpec
+DATASET_FIELDS = {f.name: f.type for f in fields(SyntheticSpec)}
+DATASET_RANGES = {
+    **dict.fromkeys(("n_classes", "image_size"), at_least(1)),
+    **dict.fromkeys(("n_per_class", "seed", "noise", "jitter", "blobs_per_class"), at_least(0)),
+}
+# Ranges of the encoder config object: fit_encoder's patch_size and d
+ENCODER_RANGES = {"patch_size": at_least(1), "dim": at_least(1)}
 
 
 @dataclass
@@ -196,6 +207,7 @@ def fit_encoder(images: np.ndarray, patch_size: int, d: int) -> LinearEncoder:
     The sign convention (first non-negligible component positive) makes the
     basis deterministic.
     """
+    check_range(patch_size, "patch_size", ENCODER_RANGES["patch_size"])
     images = np.asarray(images, dtype=np.float64)
     patches = _extract_patches(images, patch_size)
     if d < 1 or d > patch_size * patch_size:
@@ -332,11 +344,11 @@ def _stage(stage: str, name: str, fn):
 # of fit_codebook, fit_counts and sample_corpus: their defaults and ranges
 # live there.
 _SECTIONS = {
-    "dataset": ({f.name: f.type for f in fields(SyntheticSpec)}, (), None),
-    "encoder": ({"patch_size": "int", "dim": "int"}, ("patch_size", "dim"), None),
+    "dataset": (DATASET_FIELDS, (), DATASET_RANGES),
+    "encoder": ({"patch_size": "int", "dim": "int"}, ("patch_size", "dim"), ENCODER_RANGES),
     "codebook": ({"epochs": "int", "decay": "float", "seed": "int"}, (), FIT_RANGES),
     "model": ({"max_order": "int", "smoothing": "float"}, (), MODEL_RANGES),
-    "policy": (POLICY_FIELDS, (), None),
+    "policy": (POLICY_FIELDS, (), POLICY_RANGES),
     "generation": ({"n_samples": "int", "seed": "int"}, (), SAMPLE_RANGES),
 }
 _TOP_FIELDS = {**dict.fromkeys(_SECTIONS, "dict"), "schedules": "list", "cliff_threshold": "float"}
@@ -363,7 +375,7 @@ def load_config(config: dict) -> dict:
     if "schedules" in top:
         loaded["schedules"] = []
         for i, item in enumerate(top["schedules"]):
-            arm = check_fields(item, f"schedules[{i}]", _ARM_FIELDS, SCHEDULE_REQUIRED)
+            arm = check_fields(item, f"schedules[{i}]", _ARM_FIELDS, SCHEDULE_REQUIRED, SCHEDULE_RANGES)
             name = arm.pop("name", arm["family"])
             if name in (n for n, _, _ in loaded["schedules"]):
                 raise ValueError(f"duplicate schedule name {name!r} in config")

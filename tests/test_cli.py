@@ -319,6 +319,20 @@ class TestConfigValidation:
             ("codebook", "decay", 1.5, "codebook.decay must be in (0, 1)"),
             ("codebook", "epochs", 0, "codebook.epochs must be >= 1"),
             ("generation", "n_samples", 0, "generation.n_samples must be >= 1"),
+            # every section has a range table, seeds and schedule arms included
+            ("dataset", "n_classes", 0, "dataset.n_classes must be >= 1"),
+            ("dataset", "seed", -1, "dataset.seed must be >= 0"),
+            ("dataset", "jitter", -0.5, "dataset.jitter must be >= 0"),
+            ("dataset", "blobs_per_class", -1, "dataset.blobs_per_class must be >= 0"),
+            ("encoder", "patch_size", 0, "encoder.patch_size must be >= 1"),
+            ("encoder", "dim", 0, "encoder.dim must be >= 1"),
+            ("codebook", "seed", -1, "codebook.seed must be >= 0"),
+            ("generation", "seed", -1, "generation.seed must be >= 0"),
+            ("policy", "scale", -1, "policy.scale must be >= 0"),
+            ("policy", "ramp", "step", "policy.ramp must be one of ('none', 'cosine')"),
+            ("policy", "power", 0, "policy.power must be > 0"),
+            ("schedules", "k_min", 0, "schedules[1].k_min must be >= 1"),
+            ("schedules", "length", 0, "schedules[1].length must be >= 1"),
         ],
     )
     def test_bad_experiment_config_is_data_error(

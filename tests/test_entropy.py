@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import vcqlab.entropy
 from vcqlab.corpus import TokenCorpus
 from vcqlab.entropy import (
     analyze,
@@ -396,6 +397,17 @@ class TestEngineOracle:
         sched = Schedule(Family.CONSTANT, 2, 2, 2)
         with pytest.raises(ValueError, match="position 1: token 3 >= K_t 2"):
             analyze(corpus, sched)
+
+    @pytest.mark.parametrize(
+        "sched", [Schedule(Family.CONSTANT, 2, 2, 2), Schedule(Family.CONSTANT, 4, 4, 3)]
+    )
+    def test_mismatch_raises_before_the_pass(self, monkeypatch, sched):
+        passes = []
+        monkeypatch.setattr(vcqlab.entropy, "_refinement_pass", lambda *args: passes.append(args))
+        corpus = TokenCorpus(tokens=np.array([[0, 3], [1, 2]]), k_max=4)
+        with pytest.raises(ValueError, match="does not match"):
+            analyze(corpus, sched)
+        assert passes == []
 
     def test_memorization_matches_set_reference(self):
         for seed in range(60):

@@ -172,6 +172,10 @@ class TestSizeAwareScale:
         for t in range(31):
             assert size_aware_scale(policy, t) == 7.0
 
+    def test_range_error_names_policy_field(self):
+        with pytest.raises(ValueError, match=re.escape("policy.power must be > 0")):
+            GuidancePolicy(self.SCHED, power=0)
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             GuidancePolicy(schedule=self.SCHED, scale=-1.0)
@@ -525,6 +529,19 @@ class TestSampling:
         for bad in (1.0, True):
             with pytest.raises(ValueError, match=f"class ids must be integers, got {bad!r}"):
                 sample_corpus(model, policy, n_samples=2, seed=0, labels=[0, bad])
+
+    def test_policy_on_another_schedule_refused(self):
+        # same length, other K_t: s_t would come from the wrong schedule
+        fitted, other = Schedule(Family.COSINE, 2, 16, 8), Schedule(Family.CONSTANT, 16, 16, 8)
+        sizes = codebook_sizes(fitted)
+        rows = np.stack([np.arange(10) % k for k in sizes], axis=1)
+        model = fit_counts(make_corpus(rows, 16, np.arange(10) % 2), fitted)
+        policy = GuidancePolicy(schedule=other, scale=3.0)
+        with pytest.raises(ValueError, match="does not match model schedule"):
+            sample_corpus(model, policy, n_samples=4, seed=0)
+        with pytest.raises(ValueError, match="does not match model schedule"):
+            sample_sequence(model, 0, policy, seed=0)
+        sample_corpus(model, dataclasses.replace(policy, schedule=fitted), n_samples=4, seed=0)
 
     def test_first_token_distribution_chi_squared(self):
         # sampler correctness: first tokens follow the class-conditional

@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import re
 from pathlib import Path
 
@@ -63,6 +64,23 @@ class TestGenerateDataset:
     def test_images_within_class_differ(self):
         data = generate_dataset(SyntheticSpec(n_classes=1, n_per_class=2, image_size=16, seed=3))
         assert not np.array_equal(data.images[0], data.images[1])
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n_classes", True, "dataset.n_classes must be an integer"),
+            ("noise", math.nan, "dataset.noise must be finite"),
+            ("jitter", -0.5, "dataset.jitter must be >= 0"),
+            ("image_size", 0, "dataset.image_size must be >= 1"),
+        ],
+    )
+    def test_spec_fields_checked(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SyntheticSpec(**{field: value})
+
+    def test_integral_float_stored_as_int(self):
+        spec = SyntheticSpec(n_per_class=24.0)
+        assert spec.n_per_class == 24 and type(spec.n_per_class) is int
 
 
 class TestFitEncoder:
