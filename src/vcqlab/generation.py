@@ -26,6 +26,16 @@ so the smallest codebook gets no guidance and the largest gets the full
 base scale.  On a constant schedule the size factor is identically 1 and
 the combination reduces to standard CFG.
 
+A probability that underflows to 0 is a -inf logit, which guidance treats
+as masked.
+
+Sampling does each lookup once: at every position the rows' contexts are
+looked up once per order (their ranks and seen flags depend on the prefix,
+not the scope) and both guidance passes, class and pooled, read them;
+order 0, which depends on the scope alone, is built once per distinct
+scope; and each higher order is interpolated in place with the same IEEE
+operations as the formula above, so the results are its bits.
+
 Sampling is deterministic: ``sample_corpus`` draws all rows together, one
 position at a time, and sample i takes its uniforms from its own
 ``numpy.random.default_rng((seed, i))``, one ``random()`` per position, turned
@@ -145,12 +155,13 @@ def apply_guidance(
     if c.shape != u.shape:
         raise ValueError(f"logit shapes differ: {c.shape} vs {u.shape}")
     masked = np.isneginf(c) | np.isneginf(u)
-    if not np.all(np.isfinite(c[~masked])) or not np.all(np.isfinite(u[~masked])):
+    if not (np.all(np.isfinite(c) | masked) and np.all(np.isfinite(u) | masked)):
         raise ValueError("unmasked logits must be finite")
-    # combine on zero-filled copies so -inf never feeds inf-inf arithmetic
-    cf = np.where(masked, 0.0, c)
-    uf = np.where(masked, 0.0, u)
-    out = (1.0 + s_t) * cf - s_t * uf
+    # a masked entry may compute inf - inf; it is overwritten, and every
+    # unmasked entry is finite, so only masked entries can be invalid
+    with np.errstate(invalid="ignore"):
+        out = (1.0 + s_t) * c
+        out -= s_t * u
     out[masked] = MASK
     return out
 
@@ -256,52 +267,80 @@ def fit_counts(
     )
 
 
+def _contexts(model: CountModel, prefix: np.ndarray, t: int) -> list[tuple[np.ndarray, ...]]:
+    """(rank, seen) of every row's context at position t, for orders 1, 2, ...
+
+    Row i's order-o context is ``prefix[i, t-o:t]``; ``rank`` indexes its key
+    in the order's table and ``seen`` says whether it and every shorter
+    context were found there.  Neither depends on the row's scope, so one
+    lookup serves the class and the pooled distributions.
+    """
+    n = len(prefix)
+    rank = np.zeros(n, dtype=np.int64)
+    seen = np.ones(n, dtype=bool)
+    contexts = []
+    for order, table in enumerate(model.tables[t][1:], start=1):
+        rank, found = _find(table.keys, rank * model.k_max + prefix[:, t - order])
+        seen = seen & found
+        contexts.append((rank, seen))
+    return contexts
+
+
+def _runs(table: CountTable, owners: np.ndarray, base: np.ndarray, k_t: int):
+    """(owner, token, count) of every pair in the runs [base[i], base[i] + K_t)
+    of ``table``, owned by ``owners[i]``; each (owner, token) occurs once."""
+    first = np.searchsorted(table.pairs, base)
+    width = np.searchsorted(table.pairs, base + k_t) - first
+    # the runs, concatenated
+    entries = np.arange(width.sum()) + np.repeat(first - np.cumsum(width) + width, width)
+    tokens = table.pairs[entries] - np.repeat(base, width)
+    return np.repeat(owners, width), tokens, table.counts[entries]
+
+
 def _probs(
-    model: CountModel, scope: np.ndarray, prefix: np.ndarray, t: int, k_t: int
+    model: CountModel,
+    scope: np.ndarray,
+    contexts: list[tuple[np.ndarray, ...]],
+    t: int,
+    k_t: int,
 ) -> np.ndarray:
     """Back-off distributions (n, K_t) at position t for n rows.
 
-    Row i reads the counts of scope ``scope[i]`` after the tokens
-    ``prefix[i, :t]``.
+    Row i reads the counts of scope ``scope[i]`` after its contexts, as
+    :func:`_contexts` looked them up.
     """
     alpha = model.smoothing
     n = len(scope)
     n_scopes = len(model.classes) + 1
-    rank = np.zeros(n, dtype=np.int64)
-    seen = np.ones(n, dtype=bool)
-    # three (n, K_t) buffers serve every order, updated in place: fewer
-    # fresh arrays per position keep sampling's heap churn and page faults down
-    probs, vec, scaled = (np.empty((n, k_t)) for _ in range(3))
-    for order, table in enumerate(model.tables[t]):
-        if order:
-            rank, found = _find(table.keys, rank * model.k_max + prefix[:, t - order])
-            seen &= found
-        # the run of pairs in [base, base + K_t) of every row whose context was seen
+    tables = model.tables[t]
+    # the position-t unigram with per-outcome Laplace mass over the K_t
+    # support depends on the scope alone: build one row per distinct scope
+    # and gather it to every row of that scope
+    scopes, inverse = np.unique(scope, return_inverse=True)
+    owner, token, counts = _runs(tables[0], np.arange(len(scopes)), scopes * k_t, k_t)
+    unigram = np.full((len(scopes), k_t), alpha)
+    unigram[owner, token] += counts
+    unigram /= (np.bincount(owner, weights=counts, minlength=len(scopes)) + alpha * k_t)[:, None]
+    probs = unigram[inverse]
+    scaled = np.empty_like(probs)
+    for table, (rank, seen) in zip(tables[1:], contexts):
         rows = np.flatnonzero(seen)
         base = (rank[rows] * n_scopes + scope[rows]) * k_t
-        first = np.searchsorted(table.pairs, base)
-        width = np.searchsorted(table.pairs, base + k_t) - first
-        # those runs, concatenated; each owner row's total sums its run
-        # exactly, as every count and total is an integer below 2**53, and
-        # is 0 exactly where the row's context is unseen in its scope
-        entries = np.arange(width.sum()) + np.repeat(first - np.cumsum(width) + width, width)
-        owner = np.repeat(rows, width)
-        counts = table.counts[entries]
-        vec.fill(0.0)
-        vec[owner, table.pairs[entries] - np.repeat(base, width)] = counts
+        owner, token, counts = _runs(table, rows, base, k_t)
+        # each total sums its run exactly, as every count and total is an
+        # integer below 2**53, and is 0 exactly where the row's context is
+        # unseen in its scope
         total = np.bincount(owner, weights=counts, minlength=n)
-        if order == 0:
-            # position-t unigram with per-outcome Laplace mass over the K_t support
-            np.add(vec, alpha, out=probs)
-            probs /= (total + alpha * k_t)[:, None]
-        else:
-            # interpolate, (vec + alpha * probs) / (total + alpha); an unseen
-            # context passes the distribution through unchanged (computing it
-            # with total 0 would round differently)
-            np.multiply(probs, alpha, out=scaled)
-            vec += scaled
-            vec /= (total + alpha)[:, None]
-            np.copyto(probs, vec, where=(total > 0)[:, None])
+        # interpolate, (counts + alpha * probs) / (total + alpha), in place:
+        # fl(count + fl(alpha * p)) is the same sum however it is ordered
+        np.multiply(probs, alpha, out=scaled)
+        scaled[owner, token] += counts
+        scaled /= (total + alpha)[:, None]
+        # an unseen context passes the distribution through unchanged
+        # (computing it with total 0 would round differently)
+        unseen = total == 0
+        scaled[unseen] = probs[unseen]
+        probs, scaled = scaled, probs
     return probs
 
 
@@ -344,14 +383,21 @@ def logits(model: CountModel, label: int | None, prefix, t: int) -> np.ndarray:
     k_t = codebook_size_at(model.schedule, t)
     out = np.full(model.k_max, MASK, dtype=np.float64)
     rows = np.array([prefix], dtype=np.int64)
-    out[:k_t] = np.log2(_probs(model, scope, rows, t, k_t))[0]
+    out[:k_t] = _log2(_probs(model, scope, _contexts(model, rows, t), t, k_t))[0]
     return out
 
 
+def _log2(probs: np.ndarray) -> np.ndarray:
+    """Base-2 logits of ``probs``, in place; a probability that underflowed to 0 is -inf."""
+    with np.errstate(divide="ignore"):
+        return np.log2(probs, out=probs)
+
+
 def _softmax_base2(values: np.ndarray) -> np.ndarray:
-    shifted = values - values.max(axis=-1, keepdims=True)
-    weights = np.exp2(shifted)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    weights = values - values.max(axis=-1, keepdims=True)
+    np.exp2(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights
 
 
 # Generator.choice's tolerance on the sum of a float64 probability vector
@@ -375,15 +421,18 @@ def _sample_rows(
     out = np.zeros((len(scope), model.length), dtype=np.int64)
     for t, k_t in enumerate(sizes):
         s_t = size_aware_scale(policy, t)
-        guided = np.log2(_probs(model, scope, out, t, k_t))
+        # one context lookup serves the class and the pooled distributions
+        contexts = _contexts(model, out, t)
+        guided = _log2(_probs(model, scope, contexts, t, k_t))
         if s_t:
             # (1 + 0) * cond - 0 * uncond is cond exactly, so s_t = 0 skips it
-            uncond = np.log2(_probs(model, pooled, out, t, k_t))
+            uncond = _log2(_probs(model, pooled, contexts, t, k_t))
             guided = apply_guidance(guided, uncond, s_t)
         if policy.temperature == 0.0:
             out[:, t] = np.argmax(guided, axis=1)
             continue
-        p = _softmax_base2(guided / policy.temperature)
+        guided /= policy.temperature
+        p = _softmax_base2(guided)
         if not (np.all(p >= 0) and np.all(np.abs(p.sum(axis=1) - 1.0) <= _SUM_ATOL)):
             raise ValueError(f"position {t}: probabilities are negative or do not sum to 1")
         cdf = np.cumsum(p, axis=1)

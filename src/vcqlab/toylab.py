@@ -103,6 +103,10 @@ class Dataset:
     spec: SyntheticSpec
 
 
+# images rendered together by generate_dataset
+_RENDER_BLOCK = 16
+
+
 def generate_dataset(spec: SyntheticSpec) -> Dataset:
     """Render the procedural corpus for ``spec``; byte-deterministic."""
     rng = np.random.default_rng(spec.seed)
@@ -123,28 +127,33 @@ def generate_dataset(spec: SyntheticSpec) -> Dataset:
             }
         )
 
-    n = spec.n_classes * spec.n_per_class
-    images = np.empty((n, s, s), dtype=np.float64)
-    labels = np.empty(n, dtype=np.int64)
-    i = 0
+    # each image draws its phase jitter, its blob-center jitter and its pixel
+    # noise in that order, so one (images, 1 + 2 * blobs + s * s) standard
+    # normal draw per block of a class's images takes the same values;
+    # Generator.normal(0, sigma) is 0.0 + sigma * z.  Fixed-size blocks keep
+    # the temporaries independent of n_per_class.
+    m, blobs = spec.n_per_class, spec.blobs_per_class
+    images = np.empty((spec.n_classes * m, s, s), dtype=np.float64)
     for c, params in enumerate(class_params):
-        for _ in range(spec.n_per_class):
-            dphase = rng.normal(0.0, spec.jitter)
-            dcenters = rng.normal(0.0, spec.jitter * 0.05, size=(spec.blobs_per_class, 2))
-            fx, fy = params["freq"]
+        fx, fy = params["freq"]
+        for start in range(c * m, (c + 1) * m, _RENDER_BLOCK):
+            block = images[start : min(start + _RENDER_BLOCK, (c + 1) * m)]
+            k = len(block)
+            z = rng.standard_normal((k, 1 + 2 * blobs + s * s))
+            dphase = 0.0 + spec.jitter * z[:, 0, None, None]
+            dcenters = 0.0 + spec.jitter * 0.05 * z[:, 1 : 1 + 2 * blobs].reshape(k, blobs, 2)
             img = 0.5 + 0.22 * np.sin(
                 2.0 * math.pi * (fx * xx + fy * yy) + params["phase"] + dphase
             )
-            for b in range(spec.blobs_per_class):
-                cx, cy = params["centers"][b] + dcenters[b]
+            for b in range(blobs):
+                cx, cy = (params["centers"][b] + dcenters[:, b]).T[:, :, None, None]
                 w = params["widths"][b]
                 img += params["amps"][b] * np.exp(
                     -((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * w * w)
                 )
-            img += spec.noise * rng.standard_normal((s, s))
-            images[i] = np.clip(img, 0.0, 1.0)
-            labels[i] = c
-            i += 1
+            img += spec.noise * z[:, 1 + 2 * blobs :].reshape(k, s, s)
+            np.clip(img, 0.0, 1.0, out=block)
+    labels = np.repeat(np.arange(spec.n_classes, dtype=np.int64), m)
     return Dataset(images=images, labels=labels, spec=spec)
 
 
@@ -361,7 +370,11 @@ def load_config(config: dict) -> dict:
 
     Unknown keys, missing required keys, values of the wrong type and values
     outside the range the using stage accepts raise ``ValueError`` naming the
-    field (:func:`~vcqlab.schedule.check_fields`).
+    field (:func:`~vcqlab.schedule.check_fields`).  So do the rules that tie
+    fields together: ``dataset.image_size`` must be a multiple of
+    ``encoder.patch_size``, ``encoder.dim`` at most ``patch_size**2``, and
+    every arm's ``length`` the number of patches, ``(image_size /
+    patch_size)**2``.
     Returns the checked sections under their own keys: ``dataset`` as a
     :class:`SyntheticSpec`, ``schedules`` (when given) as a list of
     (name, Schedule, GuidancePolicy) arms, and every other section as a dict
@@ -372,10 +385,24 @@ def load_config(config: dict) -> dict:
     for section, (types, required, ranges) in _SECTIONS.items():
         loaded[section] = check_fields(top.get(section, {}), section, types, required, ranges)
     loaded["dataset"] = SyntheticSpec(**loaded["dataset"])
+    size = loaded["dataset"].image_size
+    patch_size, dim = loaded["encoder"]["patch_size"], loaded["encoder"]["dim"]
+    if size % patch_size:
+        raise ValueError(
+            f"dataset.image_size must be a multiple of encoder.patch_size {patch_size}, got {size}"
+        )
+    if dim > patch_size**2:
+        raise ValueError(f"encoder.dim must be <= encoder.patch_size**2 = {patch_size**2}, got {dim}")
+    length = (size // patch_size) ** 2
     if "schedules" in top:
         loaded["schedules"] = []
         for i, item in enumerate(top["schedules"]):
             arm = check_fields(item, f"schedules[{i}]", _ARM_FIELDS, SCHEDULE_REQUIRED, SCHEDULE_RANGES)
+            if arm["length"] != length:
+                raise ValueError(
+                    f"schedules[{i}].length must be (dataset.image_size / encoder.patch_size)**2"
+                    f" = {length}, got {arm['length']}"
+                )
             name = arm.pop("name", arm["family"])
             if name in (n for n, _, _ in loaded["schedules"]):
                 raise ValueError(f"duplicate schedule name {name!r} in config")
@@ -403,6 +430,8 @@ def run_cliff_experiment(config: dict) -> ExperimentReport:
     stage and schedule named.
     """
     loaded = load_config(config)
+    if "schedules" not in loaded:
+        raise ValueError("missing field config.schedules: the experiment runs one arm per schedule")
     # analyze's own default applies when the config gives no threshold
     threshold = {key: loaded[key] for key in ("cliff_threshold",) if key in loaded}
     dataset, encoder = build_inputs(loaded)

@@ -23,6 +23,8 @@ TINY_CONFIG = {
 
 TINY_SCHED = {"family": "cosine", "k_min": 2, "k_max": 32, "length": 16}
 
+MISSING = object()  # a config field to delete
+
 
 @pytest.fixture
 def config_file(tmp_path):
@@ -333,6 +335,14 @@ class TestConfigValidation:
             ("policy", "power", 0, "policy.power must be > 0"),
             ("schedules", "k_min", 0, "schedules[1].k_min must be >= 1"),
             ("schedules", "length", 0, "schedules[1].length must be >= 1"),
+            # rules across fields and sections, checked by the loader too
+            ("schedules", "length", 15,
+             "schedules[1].length must be (dataset.image_size / encoder.patch_size)**2 = 16, got 15"),
+            ("dataset", "image_size", 18,
+             "dataset.image_size must be a multiple of encoder.patch_size 4, got 18"),
+            ("encoder", "dim", 17, "encoder.dim must be <= encoder.patch_size**2 = 16, got 17"),
+            # the experiment needs its arms before any stage runs
+            (None, "schedules", MISSING, "missing field config.schedules"),
         ],
     )
     def test_bad_experiment_config_is_data_error(
@@ -342,7 +352,10 @@ class TestConfigValidation:
         target = config if section is None else config[section]
         if section == "schedules":
             target = target[1]
-        target[field] = value
+        if value is MISSING:
+            del target[field]
+        else:
+            target[field] = value
         stages = []  # the loader rejects the config before the first stage runs
         monkeypatch.setattr(toylab, "generate_dataset", lambda spec: stages.append(spec))
         out = tmp_path / "report"

@@ -106,7 +106,8 @@ def reference_probs(tables, max_order, alpha, label, prefix, t, k_t):
 def reference_logits(tables, corpus, schedule, max_order, alpha, label, prefix, t):
     k_t = codebook_sizes(schedule)[t]
     out = np.full(corpus.k_max, MASK, dtype=np.float64)
-    out[:k_t] = np.log2(reference_probs(tables, max_order, alpha, label, prefix, t, k_t))
+    with np.errstate(divide="ignore"):  # a probability that underflowed to 0 is -inf
+        out[:k_t] = np.log2(reference_probs(tables, max_order, alpha, label, prefix, t, k_t))
     return out
 
 
@@ -243,6 +244,28 @@ class TestApplyGuidance:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             apply_guidance(np.array([np.nan]), np.array([0.0]), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", ["cond", "uncond"])
+    def test_unmasked_nan_and_inf_rejected_on_either_side(self, bad, side):
+        # one bad entry in a (2, 3) batch, next to a masked one
+        c = np.array([[0.5, MASK, 1.0], [2.0, 0.0, -1.0]])
+        u = np.array([[0.0, 0.0, 1.0], [1.0, MASK, 3.0]])
+        (c if side == "cond" else u)[1, 2] = bad
+        with pytest.raises(ValueError, match="unmasked logits must be finite"):
+            apply_guidance(c, u, 2.0)
+
+    def test_inf_under_the_other_sides_mask_stays_masked(self):
+        out = apply_guidance(np.array([np.inf, 1.0]), np.array([MASK, 0.0]), 2.0)
+        assert out.tolist() == [MASK, 3.0]
+        out = apply_guidance(np.array([MASK, 1.0]), np.array([np.nan, 0.0]), 2.0)
+        assert out.tolist() == [MASK, 3.0]
+
+    def test_batch_without_masks_is_the_formula(self, rng):
+        c, u = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+        out = apply_guidance(c, u, 1.5)
+        assert np.array_equal(out, 2.5 * c - 1.5 * u)
+        assert out is not c and not np.shares_memory(out, c)
 
     def test_shared_shift_adds_constant(self, rng):
         c, u = rng.normal(size=8), rng.normal(size=8)
@@ -589,48 +612,92 @@ ORACLE_CASES = {
     "kmax-16384": (
         Schedule(Family.COSINE, 2, 16384, 6), 16384, 4, {"scale": 3.0, "ramp": "cosine"}, None,
     ),
+    # smoothing 1e-300 underflows alpha * p to 0 past order 0, so many
+    # probabilities are exactly 0 in both scopes: -inf logits, masked by guidance
+    "smoothing-1e-300": (
+        Schedule(Family.COSINE, 2, 16, 7), 16, 4, {"scale": 2.0}, None, {"smoothing": 1e-300},
+    ),
+    # k_max 16384 samples 64 rows per block: 70 rows take two blocks, with
+    # about 23 rows of each class
+    "two-blocks": (
+        Schedule(Family.COSINE, 2, 16384, 6), 16384, 4, {"scale": 3.0, "ramp": "cosine"}, None,
+        {"n": 70},
+    ),
 }
 
 
 class TestSamplerOracle:
+    # the sampler's -inf logits are intended, so any warning is an error
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_tokens_equal_dict_reference(self, case):
-        sched, k_max, max_order, fields, labels = ORACLE_CASES[case]
+        sched, k_max, max_order, fields, labels, *options = ORACLE_CASES[case]
+        # smoothing well above 0.1 makes samples leave the training rows; not a power
+        # of two, so a skipped pass-through would change the bits
+        options = {"smoothing": 0.7, "n": 10, **(options[0] if options else {})}
+        alpha, n = options["smoothing"], options["n"]
         rng = np.random.default_rng(list(ORACLE_CASES).index(case))
         # few training rows over many contexts: samples walk into unseen contexts
         rows = np.stack([rng.integers(0, k, size=30) for k in codebook_sizes(sched)], axis=1)
         corpus = make_corpus(rows, k_max, rng.choice([3, 7, 9], size=30))
-        # smoothing well above 0.1 makes samples leave the training rows; not a power
-        # of two, so a skipped pass-through would change the bits
-        model = fit_counts(corpus, sched, max_order=max_order, smoothing=0.7)
+        model = fit_counts(corpus, sched, max_order=max_order, smoothing=alpha)
         policy = GuidancePolicy(schedule=sched, **fields)
-        n = 10
         seed = 5
         expected_labels = labels or [[3, 7, 9][i % 3] for i in range(n)]
         expected = reference_sample_corpus(
-            corpus, policy, max_order, 0.7, n, seed, expected_labels
+            corpus, policy, max_order, alpha, n, seed, expected_labels
         )
         sample = sample_corpus(model, policy, n_samples=n, seed=seed, labels=labels)
         assert np.array_equal(sample.tokens, expected)
         assert sample.labels.tolist() == expected_labels
         tables = reference_fit(corpus, max_order)
         if max_order >= 2 and policy.temperature:
-            # some sample backs off from a context no training row has
+            # some sample backs off from a context no training row has, unless
+            # smoothing is so small that every unseen continuation has probability 0
             pooled = tables[1]
-            assert any(
+            backs_off = any(
                 (t, tuple(row[t - min(max_order, t) : t])) not in pooled
                 for row in expected.tolist()
                 for t in range(1, sched.length)
             )
+            assert backs_off == (alpha > 1e-200)
+        zeros = {label: 0 for label in (*expected_labels, None)}  # -inf logits per scope
         for i, label in enumerate(expected_labels):
             row = sample_sequence(model, label, policy, (seed, i))
             assert np.array_equal(row, expected[i])
             for t in range(sched.length):
                 for cls in (label, None):
                     ref = reference_logits(
-                        tables, corpus, sched, max_order, 0.7, cls, row[:t].tolist(), t
+                        tables, corpus, sched, max_order, alpha, cls, row[:t].tolist(), t
                     )
-                    assert np.array_equal(logits(model, cls, row[:t], t), ref)
+                    got = logits(model, cls, row[:t], t)
+                    assert np.array_equal(got, ref)
+                    zeros[cls] += int(np.count_nonzero(np.isneginf(got[: codebook_sizes(sched)[t]])))
+        if alpha < 1e-200:
+            assert all(zeros.values()), zeros
+        else:
+            assert not any(zeros.values()), zeros
+
+    def test_apply_guidance_called_once_per_guided_position(self, monkeypatch):
+        sched = Schedule(Family.COSINE, 2, 16, 7)
+        rng = np.random.default_rng(0)
+        rows = np.stack([rng.integers(0, k, size=30) for k in codebook_sizes(sched)], axis=1)
+        model = fit_counts(make_corpus(rows, 16, rng.choice([3, 7, 9], size=30)), sched)
+        policy = GuidancePolicy(schedule=sched, scale=3.0, ramp="cosine")
+        guided = [t for t in range(sched.length) if size_aware_scale(policy, t)]
+        assert 0 < len(guided) < sched.length
+        expected = sample_corpus(model, policy, n_samples=40, seed=1)
+        calls = []
+
+        def counting(cond, uncond, s_t):
+            calls.append((cond.shape, s_t))
+            return apply_guidance(cond, uncond, s_t)
+
+        # the sampler calls it through the module attribute, which perfbench counts
+        monkeypatch.setattr(vcqlab.generation, "apply_guidance", counting)
+        sample = sample_corpus(model, policy, n_samples=40, seed=1)
+        assert np.array_equal(sample.tokens, expected.tokens)
+        assert calls == [((40, codebook_sizes(sched)[t]), size_aware_scale(policy, t)) for t in guided]
 
 
 class TestMemorizationReport:

@@ -39,7 +39,67 @@ def tiny_config(seed=0):
     return cfg
 
 
+def reference_dataset(spec):
+    """The one-image-at-a-time renderer that generate_dataset must equal byte for byte."""
+    rng = np.random.default_rng(spec.seed)
+    s = spec.image_size
+    grid = (np.arange(s) + 0.5) / s
+    yy, xx = np.meshgrid(grid, grid, indexing="ij")
+    class_params = []
+    for _ in range(spec.n_classes):
+        class_params.append(
+            {
+                "freq": rng.uniform(0.5, 3.0, size=2),
+                "phase": rng.uniform(0.0, 2.0 * math.pi),
+                "centers": rng.uniform(0.15, 0.85, size=(spec.blobs_per_class, 2)),
+                "amps": rng.uniform(0.2, 0.45, size=spec.blobs_per_class)
+                * rng.choice([-1.0, 1.0], size=spec.blobs_per_class),
+                "widths": rng.uniform(0.08, 0.2, size=spec.blobs_per_class),
+            }
+        )
+    images, labels = [], []
+    for c, params in enumerate(class_params):
+        for _ in range(spec.n_per_class):
+            dphase = rng.normal(0.0, spec.jitter)
+            dcenters = rng.normal(0.0, spec.jitter * 0.05, size=(spec.blobs_per_class, 2))
+            fx, fy = params["freq"]
+            img = 0.5 + 0.22 * np.sin(
+                2.0 * math.pi * (fx * xx + fy * yy) + params["phase"] + dphase
+            )
+            for b in range(spec.blobs_per_class):
+                cx, cy = params["centers"][b] + dcenters[b]
+                w = params["widths"][b]
+                img += params["amps"][b] * np.exp(
+                    -((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * w * w)
+                )
+            img += spec.noise * rng.standard_normal((s, s))
+            images.append(np.clip(img, 0.0, 1.0))
+            labels.append(c)
+    return np.array(images, dtype=np.float64).reshape(-1, s, s), np.array(labels, dtype=np.int64)
+
+
 class TestGenerateDataset:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"blobs_per_class": 0},
+            {"jitter": 0},
+            {"noise": 0},
+            {"n_per_class": 1},
+            {"image_size": 1},
+            {"n_classes": 3, "n_per_class": 7, "image_size": 5, "seed": 9},
+            {"n_classes": 2, "n_per_class": 33, "image_size": 4, "seed": 5},
+            {},
+        ],
+    )
+    def test_equals_per_image_reference(self, fields):
+        spec = SyntheticSpec(**fields)
+        data = generate_dataset(spec)
+        images, labels = reference_dataset(spec)
+        assert data.images.shape == images.shape and data.images.dtype == images.dtype
+        assert data.images.tobytes() == images.tobytes()
+        assert data.labels.dtype == labels.dtype and np.array_equal(data.labels, labels)
+
     def test_deterministic(self):
         spec = SyntheticSpec(n_classes=3, n_per_class=5, image_size=16, seed=4)
         a, b = generate_dataset(spec), generate_dataset(spec)
@@ -248,9 +308,15 @@ class TestExperiment:
 
     def test_stage_failure_names_stage(self):
         cfg = tiny_config(seed=0)
-        cfg["encoder"]["dim"] = 999  # exceeds patch dimensionality
+        cfg["dataset"]["n_per_class"] = 0  # no patches to fit the encoder on
         with pytest.raises(RuntimeError, match="stage 'encoder'"):
             run_cliff_experiment(cfg)
+
+    def test_encoder_dim_above_patch_dimension_refused_by_loader(self):
+        cfg = tiny_config(seed=0)
+        cfg["encoder"]["dim"] = 999
+        with pytest.raises(ValueError, match=re.escape("encoder.dim must be <= encoder.patch_size**2 = 16")):
+            load_config(cfg)
 
     def test_unknown_dataset_key_named(self):
         cfg = tiny_config(seed=0)
