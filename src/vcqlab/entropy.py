@@ -9,19 +9,21 @@ next-token distribution within each prefix group:
 
 One refinement pass serves every measurement.  At position t it regroups
 the rows of each surviving prefix group by their next token, keyed by the
-1-D integer ``group_id * k_max + token`` (sorted, that is (group, token)
-order).  Groups that become singletons contribute zero to every later
-position and are dropped, which keeps full-corpus analysis fast beyond the
-entropy cliff.  Each position yields H(x_t | x_<t) and the prefix-joint
-entropy H(x_<t+1), which gives the exact bound; after the last position
-the surviving groups plus one count per dropped singleton are the
-full-row multiplicities, whose entropy is ``joint_bits``.  :func:`analyze`
-runs the pass once; :func:`joint_entropy` and :func:`chain_rule_check`
+1-D integer ``group_id * width + token`` with ``width`` one more than the
+largest token at t (sorted, that is (group, token) order).  Groups that
+become singletons contribute zero to every later position and are
+dropped, which keeps full-corpus analysis fast beyond the entropy cliff.
+Each position yields H(x_t | x_<t) and the prefix-joint entropy
+H(x_<t+1), which gives the exact bound; after the last position the
+surviving groups plus one count per dropped singleton are the full-row
+multiplicities, whose entropy is ``joint_bits``.  :func:`analyze` runs the
+pass once; :func:`joint_entropy` and :func:`chain_rule_check`
 keep an independent full-row ``np.unique`` as the oracle.
 
 Exactness: every term ``(c/n) * log2(c/n)`` uses ``math.log2`` (evaluated
 once per distinct ratio), and every sum is exactly rounded: ``math.fsum``,
-or a single IEEE add for a group of at most two children.  So results are
+a single IEEE add for a group of at most two children, or a single IEEE
+product ``m * x`` for a group of m children with one count.  So results are
 independent of grouping order and equal the naive definitions bit for bit,
 signed zeros included: a one-child group gives -0.0, and the joint entropy
 of identical rows is -0.0.
@@ -66,9 +68,21 @@ def entropy_from_counts(counts) -> float:
 
     Every term is ``(c/n) * math.log2(c/n)`` with ``n`` the exact integer
     total, and ``math.fsum`` rounds the sum exactly, so the result does not
-    depend on the order of the counts.
+    depend on the order of the counts.  Raises ``ValueError`` naming the bad
+    count for an empty input, a count below 1 or a count that is not an
+    integer; nothing is truncated.
     """
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = np.asarray(counts)
+    if counts.ndim != 1 or not counts.size:
+        raise ValueError(f"counts must be a non-empty 1-D sequence, got shape {counts.shape}")
+    if counts.dtype.kind not in "iu":
+        values = counts.tolist()
+        bad = next((c for c in values if not (isinstance(c, float) and c.is_integer())), values[0])
+        raise ValueError(f"counts must be integers, got {bad!r} (dtype {counts.dtype})")
+    low = int(counts.argmin())
+    if counts[low] < 1:
+        raise ValueError(f"counts must be >= 1, got {counts[low]} at index {low}")
+    counts = counts.astype(np.int64, copy=False)
     return -math.fsum(_xlog2x(counts / int(counts.sum())).tolist())
 
 
@@ -80,10 +94,18 @@ def refine_groups(gids: np.ndarray, column: np.ndarray, k: int):
     int64 whatever the dtypes of ``gids`` and ``column`` (token columns are
     narrow unsigned).  Returns ``np.unique``'s sorted keys, the new group id
     of every row (the rank of its key) and the size of every new group.
+
+    When every key is below the number of rows, the keys are counted in
+    place (``np.bincount``) instead of sorted: the same three arrays in
+    O(rows) time and memory.
     """
-    keys, inverse, counts = np.unique(
-        np.asarray(gids, dtype=np.int64) * k + column, return_inverse=True, return_counts=True
-    )
+    row_keys = np.asarray(gids, dtype=np.int64) * k + column
+    if row_keys.size and row_keys.max() < row_keys.size:
+        dense = np.bincount(row_keys)
+        present = dense > 0
+        keys = np.flatnonzero(present)
+        return keys, (np.cumsum(present) - 1)[row_keys], dense[keys]
+    keys, inverse, counts = np.unique(row_keys, return_inverse=True, return_counts=True)
     return keys, inverse.reshape(-1), counts  # numpy 2.0.0 shaped inverse (n, 1)
 
 
@@ -92,6 +114,28 @@ def _xlog2x(ratios: np.ndarray) -> np.ndarray:
     distinct, inverse = np.unique(ratios, return_inverse=True)
     logs = np.array([math.log2(r) for r in distinct.tolist()], dtype=np.float64)
     return ratios * logs[inverse.reshape(-1)]
+
+
+def _group_sums(inner, counts, starts, n_children) -> np.ndarray:
+    """Exactly rounded sum of ``inner`` over each group of children.
+
+    Group g holds the ``n_children[g]`` children from ``starts[g]``; the
+    term of a child of count c in a group of T rows is ``(c/T) log2(c/T)``.
+    A group of one or two children is one IEEE add.  A group whose m
+    children share one count has m equal terms x: the exact sum is m·x, and
+    the IEEE product ``m * x`` rounds it correctly, as ``math.fsum`` of the
+    m copies does, so the two are equal bit for bit.  Only the remaining
+    groups, whose counts differ, run ``math.fsum``.
+    """
+    sums = np.add.reduceat(inner, starts)
+    wide = n_children > 2
+    if not wide.any():
+        return sums
+    equal = wide & (np.minimum.reduceat(counts, starts) == np.maximum.reduceat(counts, starts))
+    sums[equal] = n_children[equal] * inner[starts[equal]]
+    for g in np.flatnonzero(wide & ~equal).tolist():
+        sums[g] = math.fsum(inner[starts[g] : starts[g] + n_children[g]].tolist())
+    return sums
 
 
 @dataclass(frozen=True)
@@ -103,7 +147,7 @@ class _Sweep:
     joint: float  # H(x_1..L), from the full-row count multiset
 
 
-def _refinement_pass(tokens: np.ndarray, k: int) -> _Sweep:
+def _refinement_pass(tokens: np.ndarray) -> _Sweep:
     """Group rows by prefix, one position at a time, and measure each step.
 
     At position t the rows of every surviving prefix group are split by
@@ -111,7 +155,8 @@ def _refinement_pass(tokens: np.ndarray, k: int) -> _Sweep:
     singleton contribute no conditional entropy at any later position and
     are dropped; they are counted in ``n_singletons``.  After the last
     position the child counts plus ``n_singletons`` ones are the multiset
-    of full-row multiplicities, which gives the joint entropy.
+    of full-row multiplicities, which gives the joint entropy.  Each group's
+    sum of child terms is exactly rounded (:func:`_group_sums`).
     """
     n, length = tokens.shape
     rows = np.arange(n)
@@ -125,17 +170,18 @@ def _refinement_pass(tokens: np.ndarray, k: int) -> _Sweep:
             conditional.append(0.0)
             prefix_joint.append(singleton_term)
             continue
-        keys, inverse, counts = refine_groups(gids, tokens[rows, t], k)
-        parents = keys // k
+        column = tokens[rows, t]
+        # keys composed with the column's own width keep (group, token) order
+        # and stay small enough for refine_groups to count them in place
+        width = int(column.max()) + 1
+        keys, inverse, counts = refine_groups(gids, column, width)
+        parents = keys // width
         starts = np.flatnonzero(np.concatenate(([True], parents[1:] != parents[:-1])))
         totals = np.add.reduceat(counts, starts)
         n_children = np.diff(np.append(starts, counts.size))
-        # (c/T) log2(c/T) of every child c of a group of T rows, summed per
-        # group: a one- or two-term add is exactly rounded, longer groups fsum
+        # (c/T) log2(c/T) of every child c of a group of T rows
         inner = _xlog2x(counts / np.repeat(totals, n_children))
-        group_sums = np.add.reduceat(inner, starts)
-        for g in np.flatnonzero(n_children > 2).tolist():
-            group_sums[g] = math.fsum(inner[starts[g] : starts[g] + n_children[g]].tolist())
+        group_sums = _group_sums(inner, counts, starts, n_children)
         conditional.append(math.fsum(((totals / n) * -group_sums).tolist()))
         terms = _xlog2x(counts / n)  # (c/n) log2(c/n)
         prefix_joint.append(math.fsum((-terms).tolist()) + singleton_term)
@@ -151,7 +197,7 @@ def _refinement_pass(tokens: np.ndarray, k: int) -> _Sweep:
 
 def conditional_entropy_profile(corpus: TokenCorpus) -> list[float]:
     """H(x_t | x_<t) for every position, in bits, by exact counting."""
-    return _refinement_pass(corpus.tokens, corpus.k_max).conditional
+    return _refinement_pass(corpus.tokens).conditional
 
 
 def joint_entropy(corpus: TokenCorpus) -> float:
@@ -235,7 +281,7 @@ def _bounds(
     exact = None
     if corpus is not None:
         if sweep is None:
-            sweep = _refinement_pass(corpus.tokens, corpus.k_max)
+            sweep = _refinement_pass(corpus.tokens)
         prefix = sweep.prefix_joint
         exact = [
             min(math.log2(sizes[i]), log_n - prefix[i]) for i in range(length)
@@ -290,7 +336,7 @@ def analyze(
         schedule = Schedule("constant", corpus.k_max, corpus.k_max, corpus.length)
     # checks the corpus against the schedule before the pass, not after it
     utilization = utilization_profile(corpus, schedule)
-    sweep = _refinement_pass(corpus.tokens, corpus.k_max)
+    sweep = _refinement_pass(corpus.tokens)
     bounds = _bounds(corpus, schedule, None, sweep)
     return EntropyProfile(
         conditional_bits=sweep.conditional,

@@ -452,25 +452,48 @@ def utilization_profile(tokens_corpus: TokenCorpus, schedule: Schedule) -> list[
     """Fraction of the K_t candidate set observed at each position.
 
     Raises if any observed token id reaches K_t: that means the corpus was
-    produced under a different schedule.
+    produced under a different schedule.  Every token is range-checked
+    (:func:`check_corpus`) before any is counted.
+
+    A position stops being counted once all K_t of its ids have been seen:
+    its fraction is then exactly 1.0 whatever the later rows hold.  The
+    check runs after 1, 2, 4, ... row blocks, and later blocks mark only the
+    span of positions still short of K_t.
     """
     sizes, top = check_corpus(tokens_corpus, schedule)
     tokens = tokens_corpus.tokens
+    n, length = tokens.shape
     # mark every observed (t, token) in one mask with top[t] + 1 <= K_t cells
     # for position t, starting at offsets[t], so the mask is bounded by the
     # ids present, not by k_max; row blocks bound the int64 index memory
     widths = top.astype(np.int64) + 1
     offsets = np.concatenate(([0], np.cumsum(widths[:-1])))
     seen = np.zeros(int(widths.sum()), dtype=bool)
-    block = max(1, 2**20 // tokens_corpus.length)
-    for start in range(0, tokens_corpus.n_samples, block):
-        seen[tokens[start : start + block] + offsets] = True
-    # counted per position: a reduceat with an int64 total casts the whole mask
-    observed = [
-        int(np.count_nonzero(seen[start : start + width]))
-        for start, width in zip(offsets.tolist(), widths.tolist())
-    ]
-    return [count / k_t for count, k_t in zip(observed, sizes)]
+
+    def observed(positions) -> list[int]:
+        # counted per position: a reduceat with an int64 total casts the whole mask
+        return [
+            int(np.count_nonzero(seen[offsets[t] : offsets[t] + widths[t]]))
+            for t in positions
+        ]
+
+    block = max(1, 2**20 // length)
+    active = list(range(length))  # positions that may still gain an id
+    columns = slice(0, length)
+    check = block
+    for start in range(0, n, block):
+        seen[tokens[start : start + block, columns] + offsets[columns]] = True
+        if start + block == check and check < n:
+            check *= 2
+            active = [t for t, count in zip(active, observed(active)) if count < sizes[t]]
+            if not active:
+                break
+            # re-marking a saturated position changes nothing, so the span
+            # from the first to the last active position is marked as a view;
+            # only a sparse active set pays for a column gather
+            span = active[-1] + 1 - active[0]
+            columns = slice(active[0], active[-1] + 1) if 2 * len(active) >= span else active
+    return [count / k_t for count, k_t in zip(observed(range(length)), sizes)]
 
 
 def write_codebook(codebook: Codebook, path: str | Path) -> None:

@@ -15,6 +15,7 @@ from vcqlab.entropy import (
     joint_entropy,
     profile_summary,
     prop1_bounds,
+    refine_groups,
     remaining_budget,
     write_profile_csv,
 )
@@ -438,6 +439,89 @@ class TestEngineOracle:
                 assert remaining_budget(sched, n) == want
         with pytest.raises(ValueError, match="n_samples"):
             remaining_budget(SCHEDULE_PRESETS["cosine"], 0)
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([], r"non-empty 1-D sequence, got shape \(0,\)"),
+            ([[1, 2]], r"non-empty 1-D sequence, got shape \(1, 2\)"),
+            ([0, 3], "counts must be >= 1, got 0 at index 0"),
+            ([3, 2, -4], "counts must be >= 1, got -4 at index 2"),
+            ([1.5, 3], r"counts must be integers, got 1\.5 \(dtype float64\)"),
+            ([3, 1.5], r"counts must be integers, got 1\.5"),
+            (np.array([2.0, 3.0]), r"counts must be integers, got 2\.0"),
+            ([True, False], "counts must be integers, got True"),
+        ],
+    )
+    def test_entropy_from_counts_refuses_bad_counts(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            entropy_from_counts(counts)
+
+
+# child-count multisets of prefix groups: one multiset in several token
+# orders, groups whose children share one count, and shapes repeated with
+# another total
+_GROUP_SHAPES = [
+    [3, 1, 1], [1, 3, 1], [1, 1, 3], [3, 2, 1], [1, 2, 3], [2, 1, 1, 1], [1, 1, 2, 1],
+    [4, 2, 2, 2], [2, 2, 2], [1, 1, 1, 1], [4, 4, 4], [1, 1, 1], [5], [2, 3],
+]
+
+
+def _shared_multiset_corpus(seed):
+    """Position 0 names the group, position 1 splits it by one of the
+    shapes above onto a random choice of tokens, position 2 is random."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for group in range(40):
+        shape = _GROUP_SHAPES[int(rng.integers(len(_GROUP_SHAPES)))]
+        for token, count in zip(rng.permutation(8)[: len(shape)].tolist(), shape):
+            rows += [[group, token, int(rng.integers(3))] for _ in range(count)]
+    return TokenCorpus(tokens=rng.permutation(np.array(rows)), k_max=40)
+
+
+class TestGroupSums:
+    """One exactly rounded sum per group, whatever route computes it."""
+
+    def test_equal_count_product_is_fsum_of_copies(self):
+        rng = np.random.default_rng(47)
+        for _ in range(20_000):
+            m = int(rng.integers(3, 120))
+            if rng.random() < 0.5:  # a child of count c in a group of m * c rows
+                c = int(rng.integers(1, 1000))
+                r = c / (m * c)
+                x = r * math.log2(r)
+            else:
+                x = -float(rng.random()) * 2.0 ** int(rng.integers(-60, 60))
+            assert repr(m * x) == repr(math.fsum([x] * m))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shared_multisets_match_oracles(self, seed):
+        corpus = _shared_multiset_corpus(seed)
+        tokens = corpus.tokens
+        profile = analyze(corpus)
+        assert repr(profile.conditional_bits) == repr(oracle_conditional_profile(tokens))
+        log_n = math.log2(corpus.n_samples)
+        exact = [
+            min(math.log2(corpus.k_max), log_n - oracle_prefix_entropy(tokens, t))
+            for t in range(corpus.length)
+        ]
+        assert repr(profile.exact_bound) == repr(exact)
+        assert repr(profile.joint_bits) == repr(joint_entropy(corpus))
+
+    def test_refine_groups_counting_equals_sorting(self):
+        rng = np.random.default_rng(53)
+        counted = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 300))
+            k = int(rng.integers(1, 40))
+            gids = rng.integers(0, int(rng.integers(1, 2 * n // k + 2)), size=n)
+            column = rng.integers(0, k, size=n).astype(np.uint8)
+            row_keys = gids * k + column
+            counted += int(row_keys.max() < n)
+            keys, inverse, counts = np.unique(row_keys, return_inverse=True, return_counts=True)
+            for got, want in zip(refine_groups(gids, column, k), (keys, inverse, counts)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert 50 < counted < 250  # both the counting and the sorting route
 
 
 def test_chain_rule_property():
