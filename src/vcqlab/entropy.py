@@ -62,6 +62,8 @@ __all__ = [
 # config loader for cliff_threshold
 THRESHOLD_RANGE = (lambda v: 0 < v < math.inf, "finite and > 0")
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def entropy_from_counts(counts) -> float:
     """Entropy in bits of the empirical distribution given positive integer counts.
@@ -69,20 +71,39 @@ def entropy_from_counts(counts) -> float:
     Every term is ``(c/n) * math.log2(c/n)`` with ``n`` the exact integer
     total, and ``math.fsum`` rounds the sum exactly, so the result does not
     depend on the order of the counts.  Raises ``ValueError`` naming the bad
-    count for an empty input, a count below 1 or a count that is not an
-    integer; nothing is truncated.
+    count for an empty input, a count below 1, a count that is not an
+    integer and a count beyond int64; nothing is truncated or wrapped.
     """
     counts = np.asarray(counts)
     if counts.ndim != 1 or not counts.size:
         raise ValueError(f"counts must be a non-empty 1-D sequence, got shape {counts.shape}")
-    if counts.dtype.kind not in "iu":
+    if counts.dtype.kind == "O":
+        # numpy keeps ints beyond int64 as Python objects
+        for index, c in enumerate(counts.tolist()):
+            if type(c) is not int:
+                raise ValueError(f"counts must be integers, got {c!r} (dtype object)")
+            if c < 1:
+                raise ValueError(f"counts must be >= 1, got {c} at index {index}")
+            if c > _INT64_MAX:
+                raise ValueError(f"counts must fit in int64, got {c} at index {index}")
+        counts = counts.astype(np.int64)
+    elif counts.dtype.kind not in "iu":
         values = counts.tolist()
-        bad = next((c for c in values if not (isinstance(c, float) and c.is_integer())), values[0])
+        bad = next((c for c in values if not (isinstance(c, float) and c.is_integer())), None)
+        high = int(counts.argmax())
+        if bad is None and values[high] > _INT64_MAX:
+            # numpy stores int64 and uint64 values beyond int64 together as floats
+            raise ValueError(f"counts must fit in int64, got {values[high]!r} at index {high}")
+        bad = values[0] if bad is None else bad
         raise ValueError(f"counts must be integers, got {bad!r} (dtype {counts.dtype})")
-    low = int(counts.argmin())
+    low, high = int(counts.argmin()), int(counts.argmax())
     if counts[low] < 1:
         raise ValueError(f"counts must be >= 1, got {counts[low]} at index {low}")
+    if counts[high] > _INT64_MAX:
+        raise ValueError(f"counts must fit in int64, got {counts[high]} at index {high}")
     counts = counts.astype(np.int64, copy=False)
+    if counts[high] > _INT64_MAX // counts.size and sum(counts.tolist()) > _INT64_MAX:
+        raise ValueError(f"counts must sum to at most {_INT64_MAX}")
     return -math.fsum(_xlog2x(counts / int(counts.sum())).tolist())
 
 

@@ -479,7 +479,7 @@ def utilization_profile(tokens_corpus: TokenCorpus, schedule: Schedule) -> list[
 
     block = max(1, 2**20 // length)
     active = list(range(length))  # positions that may still gain an id
-    columns = slice(0, length)
+    columns = slice(0, length)  # the span from the first to the last of them
     check = block
     for start in range(0, n, block):
         seen[tokens[start : start + block, columns] + offsets[columns]] = True
@@ -489,10 +489,8 @@ def utilization_profile(tokens_corpus: TokenCorpus, schedule: Schedule) -> list[
             if not active:
                 break
             # re-marking a saturated position changes nothing, so the span
-            # from the first to the last active position is marked as a view;
-            # only a sparse active set pays for a column gather
-            span = active[-1] + 1 - active[0]
-            columns = slice(active[0], active[-1] + 1) if 2 * len(active) >= span else active
+            # is marked as a view even where it holds saturated positions
+            columns = slice(active[0], active[-1] + 1)
     return [count / k_t for count, k_t in zip(observed(range(length)), sizes)]
 
 

@@ -451,11 +451,24 @@ class TestEngineOracle:
             ([3, 1.5], r"counts must be integers, got 1\.5"),
             (np.array([2.0, 3.0]), r"counts must be integers, got 2\.0"),
             ([True, False], "counts must be integers, got True"),
+            ([3, 2**70], "counts must fit in int64, got 1180591620717411303424 at index 1"),
+            ([3, -(2**70)], "counts must be >= 1, got -1180591620717411303424 at index 1"),
+            ([3, None], r"counts must be integers, got None \(dtype object\)"),
+            ([3, 2**63], r"counts must fit in int64, got 9\.223372036854776e\+18 at index 1"),
+            (np.array([5, 2**63], dtype=np.uint64), "counts must fit in int64, got 9223372036854775808 at index 1"),
+            ([2**62, 2**62], "counts must sum to at most 9223372036854775807"),
         ],
     )
     def test_entropy_from_counts_refuses_bad_counts(self, counts, message):
         with pytest.raises(ValueError, match=message):
             entropy_from_counts(counts)
+
+    def test_entropy_from_counts_takes_counts_near_int64(self):
+        big = [2**62, 2**61, 1]  # the largest count exceeds int64 max // 3
+        want = entropy_from_counts(np.array(big, dtype=np.int64))
+        assert want == oracle_entropy(big)
+        assert entropy_from_counts(np.array(big, dtype=object)) == want
+        assert entropy_from_counts(np.array(big, dtype=np.uint64)) == want
 
 
 # child-count multisets of prefix groups: one multiset in several token

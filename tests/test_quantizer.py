@@ -536,7 +536,7 @@ def _saturation_corpus(layout: str, seed: int = 0):
     boundary.  "last": the last id appears on the last row only.  "never":
     the last id never appears.  ``interleaved`` cycles through the kinds;
     ``sparse`` leaves only three positions short of K_t after the first
-    block, so that later blocks gather their columns.
+    block, so that later blocks mark a span of mostly saturated positions.
     """
     sched = Schedule(Family.LINEAR, 1, 64, 256)
     n = 3 * _BLOCK + 100
