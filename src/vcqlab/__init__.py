@@ -17,7 +17,6 @@ from .entropy import (
     conditional_entropy_profile,
     joint_entropy,
     prop1_bounds,
-    remaining_budget,
 )
 from .generation import (
     CountModel,
@@ -32,11 +31,9 @@ from .generation import (
 )
 from .quantizer import (
     Codebook,
-    QuantizationResult,
     decode,
     fit_codebook,
     quantize_position,
-    quantize_sequence,
     read_codebook,
     utilization_profile,
     write_codebook,
@@ -48,7 +45,6 @@ from .schedule import (
     SCHEDULE_PRESETS,
     capacity_report,
     codebook_size_at,
-    cumulative_capacity,
     data_threshold,
     tstar_uniform,
     tstar_vcq,

@@ -98,12 +98,7 @@ def _fmt(x: float, digits: int = 4) -> str:
 
 
 def cmd_schedule(args) -> int:
-    if args.preset:
-        schedule = _resolve_schedule(args.preset)
-    elif args.family:
-        schedule = Schedule(args.family, args.k_min, args.k_max, args.length, args.alpha)
-    else:
-        raise UsageError("schedule: need --preset or --family (with --k-min/--k-max)")
+    schedule = _resolve_schedule(args.preset)
     report = capacity_report(schedule, n_samples=args.n, pixel_count=args.pixels)
     summary = capacity_summary(report)
     summary["schedule"] = schedule_to_json(schedule)
@@ -168,15 +163,16 @@ def cmd_tstar(args) -> int:
             ) from None
     else:
         table = DATASET_TABLE
-    rows = [(name, n, math.log2(n), tstar_uniform(n, k)) for name, n in table]
+    # tstar_uniform checks N before math.log2 sees it
+    rows = [(name, n, tstar_uniform(n, k), math.log2(n)) for name, n in table]
     out["datasets"] = [
-        {"name": name, "n": n, "log2_n": log_n, "tstar": t} for name, n, log_n, t in rows
+        {"name": name, "n": n, "log2_n": log_n, "tstar": t} for name, n, t, log_n in rows
     ]
     if args.json:
         _print_json(out)
     else:
         print(f"{'dataset':<14} {'N':>12} {'log2 N':>7} {'t*':>3}")
-        for name, n, log_n, t in rows:
+        for name, n, t, log_n in rows:
             print(f"{name:<14} {n:>12} {log_n:>7.1f} {t:>3}")
     if args.out:
         _write_json(args.out, out)
@@ -186,16 +182,9 @@ def cmd_tstar(args) -> int:
 def cmd_fit(args) -> int:
     config = toylab.load_config(_load_json_arg(args.config))
     schedule = _resolve_schedule(args.schedule)
-    dataset, encoder = toylab.build_inputs(config)
-    options = config["codebook"]
-    if args.seed is not None:
-        options["seed"] = args.seed
+    _, encoder, latents = toylab.build_inputs(config)
     codebook = quant_mod.fit_codebook(
-        encoder.encode_images(dataset.images),
-        schedule,
-        k_max=schedule.k_max,
-        d=encoder.dim,
-        **options,
+        latents, schedule, k_max=schedule.k_max, d=encoder.dim, **config["codebook"]
     )
     quant_mod.write_codebook(codebook, args.out)
     print(f"wrote codebook ({codebook.k_max} x {codebook.dim}) to {args.out}")
@@ -206,8 +195,8 @@ def cmd_tokenize(args) -> int:
     config = toylab.load_config(_load_json_arg(args.config))
     schedule = _resolve_schedule(args.schedule)
     codebook = quant_mod.read_codebook(args.codebook)
-    dataset, encoder = toylab.build_inputs(config)
-    corpus = toylab.tokenize_dataset(dataset, encoder, schedule, codebook)
+    dataset, _, latents = toylab.build_inputs(config)
+    corpus = toylab.tokenize_dataset(latents, dataset.labels, schedule, codebook)
     write_corpus(corpus, args.out)
     print(f"wrote corpus ({corpus.n_samples} x {corpus.length}) to {args.out}")
     return 0
@@ -284,12 +273,11 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("schedule", help="evaluate a schedule's capacity table")
-    p.add_argument("--preset", help=f"one of: {', '.join(SCHEDULE_PRESETS)}")
-    p.add_argument("--family", help="constant|linear|cosine|power")
-    p.add_argument("--k-min", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=16384)
-    p.add_argument("--length", type=int, default=256)
-    p.add_argument("--alpha", type=float)
+    p.add_argument(
+        "--preset",
+        required=True,
+        help=f"preset name ({', '.join(SCHEDULE_PRESETS)}), schedule JSON file or inline JSON",
+    )
     p.add_argument("--n", type=int, default=1_281_167, help="dataset size for t*")
     p.add_argument("--pixels", type=int, default=65536)
     p.add_argument("--csv", help="write the per-position curve to this CSV file")
@@ -309,7 +297,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fit", help="fit a codebook on a procedural dataset")
     p.add_argument("--config", required=True, help="experiment config JSON (dataset/encoder/codebook)")
     p.add_argument("--schedule", required=True, help="preset name or schedule JSON")
-    p.add_argument("--seed", type=int, help="override the codebook fitting seed")
     p.add_argument("--out", required=True, help="output .vcqc path")
     p.set_defaults(fn=cmd_fit)
 

@@ -41,14 +41,13 @@ import numpy as np
 
 from .corpus import TokenCorpus, atomic_write
 from .quantizer import utilization_profile
-from .schedule import Schedule, capacity_report, check_range, codebook_sizes
+from .schedule import Schedule, capacity_report, check_fields, check_range, codebook_sizes
 
 __all__ = [
     "EntropyProfile",
     "Prop1Bounds",
     "conditional_entropy_profile",
     "joint_entropy",
-    "remaining_budget",
     "prop1_bounds",
     "cliff_position",
     "chain_rule_check",
@@ -56,11 +55,15 @@ __all__ = [
     "write_profile_csv",
     "profile_summary",
     "THRESHOLD_RANGE",
+    "ANALYZE_FIELDS",
+    "ANALYZE_RANGES",
 ]
 
-# Range of a cliff threshold in bits, checked by cliff_position and by the
-# config loader for cliff_threshold
+# Range of a cliff threshold in bits, checked by cliff_position; with its
+# type, checked by analyze and by the config loader for cliff_threshold
 THRESHOLD_RANGE = (lambda v: 0 < v < math.inf, "finite and > 0")
+ANALYZE_FIELDS = {"cliff_threshold": "float"}
+ANALYZE_RANGES = {"cliff_threshold": THRESHOLD_RANGE}
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -238,11 +241,6 @@ def chain_rule_check(corpus: TokenCorpus) -> tuple[float, float, float]:
     return total, joint, abs(total - joint)
 
 
-def remaining_budget(schedule: Schedule, n_samples: int) -> list[float]:
-    """max(0, log2 N - I(t)) for t = 0 .. L-1, the unspent bits per position."""
-    return capacity_report(schedule, n_samples).remaining_budget
-
-
 @dataclass(frozen=True)
 class Prop1Bounds:
     """The uniform-codebook entropy bound and its unconditional refinement.
@@ -353,16 +351,19 @@ def analyze(
     Without a schedule the corpus is treated as uniformly quantized at its
     own k_max.
     """
+    # the options and the corpus are checked before the pass, not after it
+    cliff_threshold = check_fields(
+        {"cliff_threshold": cliff_threshold}, "analyze", ANALYZE_FIELDS, ranges=ANALYZE_RANGES
+    )["cliff_threshold"]
     if schedule is None:
         schedule = Schedule("constant", corpus.k_max, corpus.k_max, corpus.length)
-    # checks the corpus against the schedule before the pass, not after it
     utilization = utilization_profile(corpus, schedule)
     sweep = _refinement_pass(corpus.tokens)
     bounds = _bounds(corpus, schedule, None, sweep)
     return EntropyProfile(
         conditional_bits=sweep.conditional,
         joint_bits=sweep.joint,
-        remaining_budget=remaining_budget(schedule, corpus.n_samples),
+        remaining_budget=capacity_report(schedule, corpus.n_samples).remaining_budget,
         prop1_bound=bounds.prop1,
         exact_bound=bounds.exact,
         cliff_position=cliff_position(sweep.conditional, cliff_threshold),

@@ -42,7 +42,8 @@ position at a time, and sample i takes its uniforms from its own
 into a token by inverse CDF (the draw ``Generator.choice(K_t, p=p)`` makes).
 Temperature 0 takes the argmax and draws nothing.  A sample therefore does
 not depend on how many others are drawn with it, and ``sample_sequence``
-with seed (seed, i) reproduces row i.
+with seed (seed, i) reproduces row i.  ``sample_sequence`` draws one
+sequence and is the only sampler that takes label None (the pooled counts).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import numpy as np
 from .corpus import TokenCorpus, token_dtype
 from .entropy import refine_groups
 from .schedule import (
-    Schedule, at_least, check_corpus, check_fields, check_range, codebook_size_at, codebook_sizes
+    Schedule, at_least, check_corpus, check_fields, codebook_size_at, codebook_sizes
 )
 
 __all__ = [
@@ -72,10 +73,11 @@ __all__ = [
     "sample_corpus",
     "memorization_report",
     "policy_from_json",
-    "policy_to_json",
     "POLICY_FIELDS",
     "POLICY_RANGES",
+    "MODEL_FIELDS",
     "MODEL_RANGES",
+    "SAMPLE_FIELDS",
     "SAMPLE_RANGES",
 ]
 
@@ -83,12 +85,15 @@ MASK = float("-inf")
 
 _RAMPS = ("none", "cosine")
 
-# Ranges of fit_counts' and sample_corpus' options, checked by those
-# functions and by the config loader for the model and generation sections
+# Types and ranges of fit_counts' and sample_corpus' options, checked by
+# those functions and by the config loader for the model and generation
+# sections
+MODEL_FIELDS = {"max_order": "int", "smoothing": "float"}
 MODEL_RANGES = {
     "max_order": at_least(0),
     "smoothing": (lambda v: 0 < v < math.inf, "finite and > 0"),
 }
+SAMPLE_FIELDS = {"n_samples": "int", "seed": "int"}
 SAMPLE_RANGES = {"n_samples": at_least(1), "seed": at_least(0)}
 
 
@@ -231,8 +236,9 @@ def fit_counts(
     """
     if corpus.labels is None:
         raise ValueError("fit_counts requires a labelled corpus")
-    for name, value in (("max_order", max_order), ("smoothing", smoothing)):
-        check_range(value, name, MODEL_RANGES[name])
+    max_order, smoothing = check_fields(
+        {"max_order": max_order, "smoothing": smoothing}, "model", MODEL_FIELDS, ranges=MODEL_RANGES
+    ).values()
     sizes, _ = check_corpus(corpus, schedule)
     tokens, n = corpus.tokens, corpus.n_samples
     classes, class_index = np.unique(corpus.labels, return_inverse=True)
@@ -491,8 +497,9 @@ def sample_corpus(
     uniform per position from its own generator, so results are
     independent of how rows are batched.
     """
-    for name, value in (("n_samples", n_samples), ("seed", seed)):
-        check_range(value, name, SAMPLE_RANGES[name])
+    n_samples, seed = check_fields(
+        {"n_samples": n_samples, "seed": seed}, "generation", SAMPLE_FIELDS, ranges=SAMPLE_RANGES
+    ).values()
     _check_schedule(model, policy)
     if labels is None:
         classes = model.classes or [0]
@@ -560,11 +567,6 @@ def memorization_report(
         if not matched:
             break
     return matched / n, prefix_total / n
-
-
-def policy_to_json(policy: GuidancePolicy) -> dict:
-    """JSON-ready dict (the schedule is carried separately)."""
-    return {name: getattr(policy, name) for name in POLICY_FIELDS}
 
 
 def policy_from_json(data: dict, schedule: Schedule) -> GuidancePolicy:

@@ -6,8 +6,8 @@ position t may select only from the first K_t rows, where K_t comes from a
 squared Euclidean distance with ties broken by lowest index.
 
 Exactness contract: one kernel, :func:`_nearest`, serves
-:func:`quantize_position`, :func:`quantize_sequence`, :func:`quantize_batch`
-and every :func:`fit_codebook` epoch.  It returns exactly the token an
+:func:`quantize_position`, :func:`quantize_batch` and every
+:func:`fit_codebook` epoch.  It returns exactly the token an
 exhaustive scan returns under the reference distance
 ``sum_j (e_j - z_j)**2`` (summed left to right over the d dimensions), with
 the lowest index winning ties, at any offset or scale of the data and under
@@ -43,14 +43,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import TokenCorpus, atomic_write
-from .schedule import Schedule, at_least, check_corpus, check_range, codebook_sizes
+from .corpus import TokenCorpus, _integers, atomic_write
+from .schedule import Schedule, at_least, check_corpus, check_fields, codebook_sizes
 
 __all__ = [
     "Codebook",
-    "QuantizationResult",
     "quantize_position",
-    "quantize_sequence",
     "quantize_batch",
     "decode",
     "fit_codebook",
@@ -58,6 +56,7 @@ __all__ = [
     "read_codebook",
     "write_codebook",
     "CODEBOOK_MAGIC",
+    "FIT_FIELDS",
     "FIT_RANGES",
 ]
 
@@ -83,8 +82,9 @@ _DOWN = 1.0 - 4 * _UNIT_ROUNDOFF
 # Rows per kernel call when fit_codebook rescores the latents of one K_t:
 # bounds the gathered copy of their [z, 1] rows to 2**15 (d+1) floats.
 _CHUNK = 1 << 15
-# Ranges of fit_codebook's options, checked by fit_codebook and by the
-# config loader for the codebook section
+# Types and ranges of fit_codebook's options, checked by fit_codebook and by
+# the config loader for the codebook section
+FIT_FIELDS = {"epochs": "int", "decay": "float", "seed": "int"}
 FIT_RANGES = {
     "epochs": at_least(1),
     "decay": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
@@ -113,15 +113,6 @@ class Codebook:
     @property
     def dim(self) -> int:
         return self.entries.shape[1]
-
-
-@dataclass
-class QuantizationResult:
-    """Per-position outcome of quantizing one L x d latent sequence."""
-
-    tokens: np.ndarray      # (L,) int64
-    quantized: np.ndarray   # (L, d) float32, exact codebook rows
-    distances: np.ndarray   # (L,) float64, squared Euclidean
 
 
 def _sqdist(e: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -259,17 +250,6 @@ def quantize_position(
     return token, codebook.entries[token].copy(), float(distances[0, 0])
 
 
-def quantize_sequence(
-    latents: np.ndarray, schedule: Schedule, codebook: Codebook
-) -> QuantizationResult:
-    """Quantize an L x d latent sequence under the schedule's K_t restriction."""
-    # one sequence is a batch of one; any other shape fails the batch check
-    tokens, distances = quantize_batch(np.asarray(latents)[None], schedule, codebook)
-    return QuantizationResult(
-        tokens=tokens[0], quantized=codebook.entries[tokens[0]], distances=distances[0]
-    )
-
-
 def quantize_batch(
     latents: np.ndarray, schedule: Schedule, codebook: Codebook
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -306,9 +286,7 @@ def decode(tokens: np.ndarray, codebook: Codebook) -> np.ndarray:
     The ids index in their own integer dtype, so narrow corpus tokens are not
     widened; bool and float arrays are refused, never truncated.
     """
-    tokens = np.asarray(tokens)
-    if tokens.dtype.kind not in "iu":
-        raise ValueError(f"token ids must be integers, got dtype {tokens.dtype}")
+    tokens = _integers(tokens, "token ids")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= codebook.k_max):
         raise IndexError(
             f"token ids must lie in [0, {codebook.k_max}), found range "
@@ -389,8 +367,9 @@ def fit_codebook(
         )
     if schedule.k_max > k_max:
         raise ValueError(f"schedule k_max {schedule.k_max} exceeds codebook size {k_max}")
-    for name, value in (("decay", decay), ("epochs", epochs), ("seed", seed)):
-        check_range(value, name, FIT_RANGES[name])
+    epochs, decay, seed = check_fields(
+        {"epochs": epochs, "decay": decay, "seed": seed}, "codebook", FIT_FIELDS, ranges=FIT_RANGES
+    ).values()
 
     rng = np.random.default_rng(seed)
     flat = latents.reshape(n * length, d)

@@ -33,7 +33,6 @@ __all__ = [
     "codebook_size_at",
     "codebook_sizes",
     "check_corpus",
-    "cumulative_capacity",
     "tstar_uniform",
     "data_threshold",
     "tstar_vcq",
@@ -41,7 +40,6 @@ __all__ = [
     "schedule_from_json",
     "schedule_to_json",
     "load_schedule",
-    "save_schedule",
     "write_capacity_csv",
     "capacity_summary",
     "config_int",
@@ -184,13 +182,6 @@ def check_corpus(corpus, schedule: Schedule):
     return sizes, top
 
 
-def cumulative_capacity(schedule: Schedule, t: int) -> float:
-    """I(t) = sum_{i<t} log2 K_i in bits; I(0) = 0."""
-    if not 0 <= t <= schedule.length:
-        raise IndexError(f"position count {t} out of range [0, {schedule.length}]")
-    return capacity_report(schedule, 1).cumulative[t]
-
-
 def tstar_uniform(n_samples: int, k: int) -> int:
     """Smallest t with t * log2 K >= log2 N, i.e. ceil(log2 N / log2 K).
 
@@ -253,8 +244,7 @@ def capacity_report(
         check_range(value, name, at_least(1))
     sizes = codebook_sizes(schedule)
     bits = [math.log2(k) for k in sizes]
-    # I(t), the one capacity computation: cumulative_capacity and tstar_vcq
-    # read it from here
+    # I(t), the one capacity computation: tstar_vcq and analyze read it from here
     cumulative = [0.0]
     for b in bits:
         cumulative.append(cumulative[-1] + b)
@@ -365,10 +355,6 @@ SCHEDULE_PRESETS: dict[str, Schedule] = {
 def schedule_from_json(data: dict) -> Schedule:
     """Inverse of :func:`schedule_to_json`, with field validation."""
     return Schedule(**check_fields(data, "schedule", SCHEDULE_FIELDS, SCHEDULE_REQUIRED))
-
-
-def save_schedule(schedule: Schedule, path: str | Path) -> None:
-    atomic_write(path, [(json.dumps(schedule_to_json(schedule), indent=2) + "\n").encode()])
 
 
 def load_schedule(path: str | Path) -> Schedule:

@@ -18,18 +18,22 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import TokenCorpus, atomic_write, write_corpus
-from .entropy import THRESHOLD_RANGE, EntropyProfile, analyze, write_profile_csv
+from .entropy import ANALYZE_FIELDS, ANALYZE_RANGES, EntropyProfile, analyze, write_profile_csv
 from .generation import (
+    MODEL_FIELDS,
     MODEL_RANGES,
     POLICY_FIELDS,
     POLICY_RANGES,
+    SAMPLE_FIELDS,
     SAMPLE_RANGES,
     GuidancePolicy,
     fit_counts,
     memorization_report,
     sample_corpus,
 )
-from .quantizer import FIT_RANGES, Codebook, decode, fit_codebook, quantize_batch, write_codebook
+from .quantizer import (
+    FIT_FIELDS, FIT_RANGES, Codebook, decode, fit_codebook, quantize_batch, write_codebook
+)
 from .schedule import (
     SCHEDULE_FIELDS,
     SCHEDULE_REQUIRED,
@@ -37,7 +41,6 @@ from .schedule import (
     Schedule,
     at_least,
     check_fields,
-    check_range,
     schedule_to_json,
     tstar_vcq,
 )
@@ -90,7 +93,8 @@ DATASET_RANGES = {
     **dict.fromkeys(("n_classes", "image_size"), at_least(1)),
     **dict.fromkeys(("n_per_class", "seed", "noise", "jitter", "blobs_per_class"), at_least(0)),
 }
-# Ranges of the encoder config object: fit_encoder's patch_size and d
+# Types and ranges of the encoder config object: fit_encoder's patch_size and d
+ENCODER_FIELDS = {"patch_size": "int", "dim": "int"}
 ENCODER_RANGES = {"patch_size": at_least(1), "dim": at_least(1)}
 
 
@@ -216,10 +220,12 @@ def fit_encoder(images: np.ndarray, patch_size: int, d: int) -> LinearEncoder:
     The sign convention (first non-negligible component positive) makes the
     basis deterministic.
     """
-    check_range(patch_size, "patch_size", ENCODER_RANGES["patch_size"])
+    patch_size, d = check_fields(
+        {"patch_size": patch_size, "dim": d}, "encoder", ENCODER_FIELDS, ranges=ENCODER_RANGES
+    ).values()
     images = np.asarray(images, dtype=np.float64)
     patches = _extract_patches(images, patch_size)
-    if d < 1 or d > patch_size * patch_size:
+    if d > patch_size * patch_size:
         raise ValueError(
             f"d must lie in [1, {patch_size * patch_size}] for {patch_size}x{patch_size} "
             f"patches, got {d}"
@@ -240,22 +246,20 @@ def fit_encoder(images: np.ndarray, patch_size: int, d: int) -> LinearEncoder:
 
 
 def tokenize_dataset(
-    dataset: Dataset,
-    encoder: LinearEncoder,
+    latents: np.ndarray,
+    labels: np.ndarray,
     schedule: Schedule,
     codebook: Codebook,
 ) -> TokenCorpus:
-    """Encode and quantize every image into a labelled token corpus."""
-    s = dataset.images.shape[1]
-    length = (s // encoder.patch_size) ** 2
-    if length != schedule.length:
+    """Quantize encoded images, (n, L, d) latents, into a labelled token corpus."""
+    latents = np.asarray(latents)
+    if latents.ndim == 3 and latents.shape[1] != schedule.length:
         raise ValueError(
-            f"{s}x{s} images with patch size {encoder.patch_size} give {length} "
-            f"positions, but the schedule has length {schedule.length}"
+            f"the latents hold {latents.shape[1]} patches per image, but the schedule "
+            f"has length {schedule.length}"
         )
-    latents = encoder.encode_images(dataset.images)
-    tokens, _ = quantize_batch(latents, schedule, codebook)
-    return TokenCorpus(tokens=tokens, k_max=codebook.k_max, labels=dataset.labels)
+    tokens = quantize_batch(latents, schedule, codebook)[0]
+    return TokenCorpus(tokens=tokens, k_max=codebook.k_max, labels=labels)
 
 
 def psnr_from_mse(mse: float, peak: float = 1.0) -> float:
@@ -354,14 +358,13 @@ def _stage(stage: str, name: str, fn):
 # live there.
 _SECTIONS = {
     "dataset": (DATASET_FIELDS, (), DATASET_RANGES),
-    "encoder": ({"patch_size": "int", "dim": "int"}, ("patch_size", "dim"), ENCODER_RANGES),
-    "codebook": ({"epochs": "int", "decay": "float", "seed": "int"}, (), FIT_RANGES),
-    "model": ({"max_order": "int", "smoothing": "float"}, (), MODEL_RANGES),
+    "encoder": (ENCODER_FIELDS, ("patch_size", "dim"), ENCODER_RANGES),
+    "codebook": (FIT_FIELDS, (), FIT_RANGES),
+    "model": (MODEL_FIELDS, (), MODEL_RANGES),
     "policy": (POLICY_FIELDS, (), POLICY_RANGES),
-    "generation": ({"n_samples": "int", "seed": "int"}, (), SAMPLE_RANGES),
+    "generation": (SAMPLE_FIELDS, (), SAMPLE_RANGES),
 }
-_TOP_FIELDS = {**dict.fromkeys(_SECTIONS, "dict"), "schedules": "list", "cliff_threshold": "float"}
-_TOP_RANGES = {"cliff_threshold": THRESHOLD_RANGE}
+_TOP_FIELDS = {**dict.fromkeys(_SECTIONS, "dict"), "schedules": "list", **ANALYZE_FIELDS}
 _ARM_FIELDS = {"name": "str", **SCHEDULE_FIELDS}
 
 
@@ -380,7 +383,7 @@ def load_config(config: dict) -> dict:
     (name, Schedule, GuidancePolicy) arms, and every other section as a dict
     of the keys it gives, ready to pass as keyword arguments.
     """
-    top = check_fields(config, "config", _TOP_FIELDS, ("dataset", "encoder"), _TOP_RANGES)
+    top = check_fields(config, "config", _TOP_FIELDS, ("dataset", "encoder"), ANALYZE_RANGES)
     loaded = dict(top)
     for section, (types, required, ranges) in _SECTIONS.items():
         loaded[section] = check_fields(top.get(section, {}), section, types, required, ranges)
@@ -412,14 +415,15 @@ def load_config(config: dict) -> dict:
     return loaded
 
 
-def build_inputs(config: dict) -> tuple[Dataset, LinearEncoder]:
-    """The dataset and fitted encoder every arm of a loaded ``config`` shares."""
+def build_inputs(config: dict) -> tuple[Dataset, LinearEncoder, np.ndarray]:
+    """The dataset, fitted encoder and encoded images every arm of a loaded ``config`` shares."""
     patch_size, dim = config["encoder"]["patch_size"], config["encoder"]["dim"]
     dataset = _stage("dataset", "shared", lambda: generate_dataset(config["dataset"]))
     encoder = _stage(
         "encoder", "shared", lambda: fit_encoder(dataset.images, patch_size=patch_size, d=dim)
     )
-    return dataset, encoder
+    latents = _stage("encode", "shared", lambda: encoder.encode_images(dataset.images))
+    return dataset, encoder, latents
 
 
 def run_cliff_experiment(config: dict) -> ExperimentReport:
@@ -434,8 +438,7 @@ def run_cliff_experiment(config: dict) -> ExperimentReport:
         raise ValueError("missing field config.schedules: the experiment runs one arm per schedule")
     # analyze's own default applies when the config gives no threshold
     threshold = {key: loaded[key] for key in ("cliff_threshold",) if key in loaded}
-    dataset, encoder = build_inputs(loaded)
-    latents = _stage("encode", "shared", lambda: encoder.encode_images(dataset.images))
+    dataset, encoder, latents = build_inputs(loaded)
 
     report = ExperimentReport(config=config)
     for name, schedule, policy in loaded["schedules"]:
@@ -447,13 +450,7 @@ def run_cliff_experiment(config: dict) -> ExperimentReport:
             ),
         )
         corpus = _stage(
-            "tokenize",
-            name,
-            lambda: TokenCorpus(
-                tokens=quantize_batch(latents, schedule, codebook)[0],
-                k_max=codebook.k_max,
-                labels=dataset.labels,
-            ),
+            "tokenize", name, lambda: tokenize_dataset(latents, dataset.labels, schedule, codebook)
         )
         profile = _stage("entropy", name, lambda: analyze(corpus, schedule, **threshold))
         mse, psnr = _stage(

@@ -54,7 +54,8 @@ class TestScheduleCommand:
         assert data["bpp"] == pytest.approx(0.055, abs=0.002)
 
     def test_power_alpha_one_matches_linear(self, capsys):
-        assert main(["schedule", "--family", "power", "--alpha", "1.0", "--json"]) == 0
+        power = {"family": "power", "k_min": 2, "k_max": 16384, "length": 256, "alpha": 1.0}
+        assert main(["schedule", "--preset", json.dumps(power), "--json"]) == 0
         power = json.loads(capsys.readouterr().out)
         assert main(["schedule", "--preset", "linear", "--json"]) == 0
         linear = json.loads(capsys.readouterr().out)
@@ -107,6 +108,12 @@ class TestTstarCommand:
         assert "--datasets expects" in capsys.readouterr().err
         assert main(["tstar", "--datasets", '[["a", 4.0]]', "--k", "2", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["datasets"][0]["tstar"] == 2
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_dataset_sizes_below_one_name_n_samples(self, capsys, n):
+        # N is checked before log2 N is taken
+        assert main(["tstar", "--datasets", f'[["x", {n}]]']) == 2
+        assert f"data error: n_samples must be >= 1, got {n}" in capsys.readouterr().err
 
 
 class TestPipelineCommands:
@@ -220,7 +227,7 @@ class TestPipelineCommands:
         argv = ["analyze", "--corpus", str(flat), "--threshold", threshold, "--json", "--out", str(out)]
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert "threshold must be finite and > 0" in captured.err
+        assert f"data error: analyze.cliff_threshold must be finite, got {threshold}" in captured.err
         assert captured.out == "" and not out.exists()
 
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
@@ -406,6 +413,18 @@ class TestUsageErrors:
     def test_missing_required_flag(self):
         assert main(["analyze"]) == 1
 
-    def test_schedule_needs_preset_or_family(self, capsys):
+    def test_schedule_needs_preset(self, capsys):
         assert main(["schedule"]) == 1
-        assert "need --preset or --family" in capsys.readouterr().err
+        assert "the following arguments are required: --preset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schedule", "--preset", "linear", "--family", "power", "--alpha", "1.0"],
+            ["fit", "--config", "c.json", "--schedule", "cosine", "--seed", "3", "--out", "b.vcqc"],
+        ],
+        ids=["schedule-family", "fit-seed"],
+    )
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import vcqlab
-from vcqlab.cli import main
+from vcqlab.cli import _write_json, main
 from vcqlab.corpus import CORPUS_MAGIC, TokenCorpus, atomic_write, read_corpus, write_corpus
 from vcqlab.entropy import analyze, refine_groups, write_profile_csv
 from vcqlab.generation import GuidancePolicy, fit_counts, memorization_report, sample_corpus
@@ -20,7 +20,7 @@ from vcqlab.schedule import (
     SCHEDULE_PRESETS,
     Schedule,
     capacity_report,
-    save_schedule,
+    capacity_summary,
     write_capacity_csv,
 )
 
@@ -144,7 +144,8 @@ class TestAtomicWrite:
             lambda path: write_codebook(Codebook(entries=np.ones((4, 2))), path),
             lambda path: CSV_WRITERS["profile_csv"](path, 5),
             lambda path: CSV_WRITERS["capacity_csv"](path, 5),
-            lambda path: save_schedule(SCHEDULE_PRESETS["cosine"], path),
+            # the JSON summary of `vcqlab schedule --out`
+            lambda path: _write_json(path, capacity_summary(capacity_report(SCHEDULE_PRESETS["cosine"], 1000))),
         ],
         ids=["corpus", "codebook", "profile_csv", "capacity_csv", "schedule_json"],
     )

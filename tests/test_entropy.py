@@ -16,11 +16,10 @@ from vcqlab.entropy import (
     profile_summary,
     prop1_bounds,
     refine_groups,
-    remaining_budget,
     write_profile_csv,
 )
 from vcqlab.generation import memorization_report
-from vcqlab.schedule import SCHEDULE_PRESETS, Family, Schedule, codebook_sizes
+from vcqlab.schedule import SCHEDULE_PRESETS, Family, Schedule, capacity_report, codebook_sizes
 
 from conftest import random_corpus
 
@@ -130,7 +129,7 @@ class TestChainRule:
 class TestRemainingBudget:
     def test_constant_16k_cifar(self):
         sched = Schedule(Family.CONSTANT, 16384, 16384, 8)
-        budget = remaining_budget(sched, 50_000)
+        budget = capacity_report(sched, 50_000).remaining_budget
         log_n = math.log2(50_000)
         assert budget[0] == pytest.approx(log_n)          # ~15.6
         assert budget[1] == pytest.approx(log_n - 14.0)   # ~1.6
@@ -139,11 +138,11 @@ class TestRemainingBudget:
 
     def test_position_zero_is_log2_n(self):
         sched = Schedule(Family.COSINE, 2, 64, 16)
-        assert remaining_budget(sched, 1000)[0] == pytest.approx(math.log2(1000))
+        assert capacity_report(sched, 1000).remaining_budget[0] == pytest.approx(math.log2(1000))
 
     def test_linear_imagenet_hits_zero_at_four(self):
         sched = Schedule(Family.LINEAR, 2, 16384, 256)
-        budget = remaining_budget(sched, 1_281_167)
+        budget = capacity_report(sched, 1_281_167).remaining_budget
         assert budget[3] > 0.0
         assert budget[4] == 0.0
 
@@ -410,6 +409,16 @@ class TestEngineOracle:
             analyze(corpus, sched)
         assert passes == []
 
+    @pytest.mark.parametrize("threshold", [-1.0, 0, math.inf, math.nan, True])
+    def test_threshold_checked_before_the_pass(self, monkeypatch, threshold):
+        calls = []
+        monkeypatch.setattr(vcqlab.entropy, "_refinement_pass", lambda *args: calls.append(args))
+        monkeypatch.setattr(vcqlab.entropy, "utilization_profile", lambda *args: calls.append(args))
+        corpus = TokenCorpus(tokens=np.array([[0, 3], [1, 2]]), k_max=4)
+        with pytest.raises(ValueError, match="analyze.cliff_threshold must be"):
+            analyze(corpus, cliff_threshold=threshold)
+        assert calls == []
+
     def test_memorization_matches_set_reference(self):
         for seed in range(60):
             rng = np.random.default_rng((seed, 23))
@@ -436,9 +445,9 @@ class TestEngineOracle:
                 for k in codebook_sizes(sched):
                     want.append(max(0.0, log_n - total))
                     total += math.log2(k)
-                assert remaining_budget(sched, n) == want
+                assert capacity_report(sched, n).remaining_budget == want
         with pytest.raises(ValueError, match="n_samples"):
-            remaining_budget(SCHEDULE_PRESETS["cosine"], 0)
+            capacity_report(SCHEDULE_PRESETS["cosine"], 0)
 
     @pytest.mark.parametrize(
         "counts, message",

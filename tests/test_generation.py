@@ -14,6 +14,7 @@ import vcqlab.generation
 from vcqlab.corpus import TokenCorpus
 from vcqlab.generation import (
     MASK,
+    POLICY_FIELDS,
     CountTable,
     GuidancePolicy,
     apply_guidance,
@@ -21,7 +22,6 @@ from vcqlab.generation import (
     logits,
     memorization_report,
     policy_from_json,
-    policy_to_json,
     sample_corpus,
     sample_sequence,
     size_aware_scale,
@@ -733,11 +733,8 @@ class TestPolicyJson:
             schedule=sched, scale=10.0, ramp="cosine", power=1.5,
             size_aware=True, temperature=0.85,
         )
-        data = policy_to_json(policy)
-        assert data == {
-            "scale": 10.0, "ramp": "cosine", "power": 1.5,
-            "size_aware": True, "temperature": 0.85,
-        }
+        data = {"scale": 10.0, "ramp": "cosine", "power": 1.5, "size_aware": True, "temperature": 0.85}
+        assert {name: getattr(policy, name) for name in POLICY_FIELDS} == data
         assert policy_from_json(data, sched) == policy
 
     def test_unknown_fields_rejected(self):

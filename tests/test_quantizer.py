@@ -13,7 +13,6 @@ from vcqlab.quantizer import (
     fit_codebook,
     quantize_batch,
     quantize_position,
-    quantize_sequence,
     read_codebook,
     utilization_profile,
     write_codebook,
@@ -90,25 +89,31 @@ class TestQuantizePosition:
             assert all(a >= b for a, b in zip(dists, dists[1:]))
 
 
+def quantize_one(latents, sched, cb):
+    """Tokens and distances of one L x d sequence: a batch of one."""
+    tokens, distances = quantize_batch(np.asarray(latents)[None], sched, cb)
+    return tokens[0], distances[0]
+
+
 class TestQuantizeSequence:
     def test_codebook_rows_give_zero_distance(self, rng):
         cb = Codebook(entries=rng.normal(size=(16, 4)))
         sched = Schedule(Family.CONSTANT, 16, 16, 8)
         latents = np.tile(cb.entries[0].astype(np.float64), (8, 1))
-        result = quantize_sequence(latents, sched, cb)
-        assert np.all(result.tokens == 0)
-        assert np.all(result.distances == 0.0)
+        tokens, distances = quantize_one(latents, sched, cb)
+        assert np.all(tokens == 0)
+        assert np.all(distances == 0.0)
 
     def test_constant_schedule_equals_unrestricted(self, rng):
         cb = Codebook(entries=rng.normal(size=(32, 4)))
         sched = Schedule(Family.CONSTANT, 32, 32, 12)
         latents = rng.normal(size=(12, 4))
-        result = quantize_sequence(latents, sched, cb)
+        tokens, distances = quantize_one(latents, sched, cb)
         for t in range(12):
             token, row, dist = quantize_position(latents[t], cb, 32)
-            assert result.tokens[t] == token
-            assert np.array_equal(result.quantized[t], row)
-            assert result.distances[t] == dist
+            assert tokens[t] == token
+            assert np.array_equal(decode(tokens[t], cb), row)
+            assert distances[t] == dist
 
     def test_prefix_restriction_random_schedules(self, rng):
         for _ in range(30):
@@ -117,9 +122,9 @@ class TestQuantizeSequence:
             sched = Schedule(Family.COSINE, int(rng.integers(1, 4)), k_max, length)
             cb = Codebook(entries=rng.normal(size=(k_max, 3)))
             latents = rng.normal(size=(length, 3))
-            result = quantize_sequence(latents, sched, cb)
+            tokens, _ = quantize_one(latents, sched, cb)
             sizes = codebook_sizes(sched)
-            assert all(result.tokens[t] < sizes[t] for t in range(length))
+            assert all(tokens[t] < sizes[t] for t in range(length))
 
     def test_straight_through_contract(self, rng):
         # a straight-through estimator uses quantized - input as its residual;
@@ -127,17 +132,19 @@ class TestQuantizeSequence:
         cb = Codebook(entries=rng.normal(size=(8, 4)))
         sched = Schedule(Family.LINEAR, 2, 8, 6)
         latents = rng.normal(size=(6, 4))
-        result = quantize_sequence(latents, sched, cb)
-        assert np.array_equal(result.quantized, decode(result.tokens, cb))
+        tokens, distances = quantize_one(latents, sched, cb)
+        quantized = decode(tokens, cb)
+        assert np.array_equal(quantized, cb.entries[tokens])
         for t in range(6):
-            residual = result.quantized[t].astype(np.float64) - latents[t]
-            assert result.distances[t] == sum(float(r) * float(r) for r in residual)
+            residual = quantized[t].astype(np.float64) - latents[t]
+            assert distances[t] == sum(float(r) * float(r) for r in residual)
 
     def test_shape_mismatch(self, rng):
         cb = Codebook(entries=rng.normal(size=(8, 4)))
         sched = Schedule(Family.LINEAR, 2, 8, 6)
-        with pytest.raises(ValueError, match="shape"):
-            quantize_sequence(rng.normal(size=(5, 4)), sched, cb)
+        for latents in (rng.normal(size=(5, 4)), rng.normal(size=(1, 5, 4))):
+            with pytest.raises(ValueError, match="shape"):
+                quantize_batch(latents, sched, cb)
 
     def test_batch_agrees_with_sequence(self, rng):
         cb = Codebook(entries=rng.normal(size=(16, 4)))
@@ -145,9 +152,9 @@ class TestQuantizeSequence:
         latents = rng.normal(size=(7, 10, 4))
         tokens, dists = quantize_batch(latents, sched, cb)
         for i in range(7):
-            result = quantize_sequence(latents[i], sched, cb)
-            assert np.array_equal(tokens[i], result.tokens)
-            assert np.array_equal(dists[i], result.distances)
+            one_tokens, one_dists = quantize_one(latents[i], sched, cb)
+            assert np.array_equal(tokens[i], one_tokens)
+            assert np.array_equal(dists[i], one_dists)
 
     def test_batch_ties_break_to_lowest_index(self):
         entries = np.array(
@@ -393,8 +400,8 @@ class TestDecode:
         cb = Codebook(entries=rng.normal(size=(16, 3)))
         sched = Schedule(Family.LINEAR, 2, 16, 9)
         latents = rng.normal(size=(9, 3))
-        result = quantize_sequence(latents, sched, cb)
-        assert np.array_equal(decode(result.tokens, cb), result.quantized)
+        tokens, _ = quantize_one(latents, sched, cb)
+        assert np.array_equal(decode(tokens, cb), cb.entries[tokens])
 
     def test_out_of_range_token(self, rng):
         cb = Codebook(entries=rng.normal(size=(8, 4)))

@@ -10,7 +10,6 @@ import pytest
 from vcqlab.quantizer import fit_codebook
 from vcqlab.schedule import Family, Schedule, codebook_sizes
 from vcqlab.toylab import (
-    Dataset,
     SyntheticSpec,
     build_inputs,
     default_experiment_config,
@@ -203,15 +202,13 @@ class TestTokenizeDataset:
 
     def test_constant_images_give_identical_rows(self, rng):
         data, enc, sched, cb = self._setup(rng)
-        flat = Dataset(
-            images=np.full((4, 16, 16), 0.5), labels=np.zeros(4, dtype=int), spec=data.spec
-        )
-        corpus = tokenize_dataset(flat, enc, sched, cb)
+        flat = enc.encode_images(np.full((4, 16, 16), 0.5))
+        corpus = tokenize_dataset(flat, np.zeros(4, dtype=int), sched, cb)
         assert (corpus.tokens == corpus.tokens[0]).all()
 
     def test_tokens_respect_schedule(self, rng):
         data, enc, sched, cb = self._setup(rng)
-        corpus = tokenize_dataset(data, enc, sched, cb)
+        corpus = tokenize_dataset(enc.encode_images(data.images), data.labels, sched, cb)
         sizes = codebook_sizes(sched)
         for t in range(16):
             assert corpus.tokens[:, t].max() < sizes[t]
@@ -219,15 +216,15 @@ class TestTokenizeDataset:
 
     def test_deterministic(self, rng):
         data, enc, sched, cb = self._setup(rng)
-        a = tokenize_dataset(data, enc, sched, cb)
-        b = tokenize_dataset(data, enc, sched, cb)
+        a = tokenize_dataset(enc.encode_images(data.images), data.labels, sched, cb)
+        b = tokenize_dataset(enc.encode_images(data.images), data.labels, sched, cb)
         assert a.tokens.tobytes() == b.tokens.tobytes()
 
     def test_length_mismatch_rejected(self, rng):
         data, enc, _, cb = self._setup(rng)
         bad = Schedule(Family.CONSTANT, 16, 16, 9)
-        with pytest.raises(ValueError, match="schedule"):
-            tokenize_dataset(data, enc, bad, cb)
+        with pytest.raises(ValueError, match="16 patches per image, but the schedule has length 9"):
+            tokenize_dataset(enc.encode_images(data.images), data.labels, bad, cb)
 
 
 class TestReconstructionMetrics:
@@ -262,7 +259,7 @@ class TestReconstructionMetrics:
         for k in (4, 64, 1024):
             sched = Schedule(Family.CONSTANT, k, k, 16)
             cb = fit_codebook(latents, sched, k_max=k, d=8, epochs=10, seed=11)
-            corpus = tokenize_dataset(data, enc, sched, cb)
+            corpus = tokenize_dataset(latents, data.labels, sched, cb)
             _, psnr = reconstruction_metrics(data.images, corpus.tokens, enc, cb)
             psnrs.append(psnr)
         assert psnrs[0] <= psnrs[1] <= psnrs[2]
@@ -326,13 +323,14 @@ class TestExperiment:
 
     def test_build_inputs_equals_direct_construction(self):
         cfg = tiny_config(seed=1)
-        dataset, encoder = build_inputs(load_config(cfg))
+        dataset, encoder, latents = build_inputs(load_config(cfg))
         direct = generate_dataset(SyntheticSpec(**cfg["dataset"]))
         assert dataset.images.tobytes() == direct.images.tobytes()
         assert dataset.spec == direct.spec
         reference = fit_encoder(direct.images, patch_size=4, d=6)
         assert encoder.projection.tobytes() == reference.projection.tobytes()
         assert encoder.mean.tobytes() == reference.mean.tobytes()
+        assert latents.tobytes() == reference.encode_images(direct.images).tobytes()
 
     def test_codebook_section_passes_through(self):
         # the codebook section passes through as fit_codebook keyword
