@@ -24,6 +24,7 @@ from .schedule import (
     Schedule,
     capacity_report,
     capacity_summary,
+    check_fields,
     config_int,
     data_threshold,
     load_schedule,
@@ -56,10 +57,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _write_json(path: str, data: dict) -> None:
-    atomic_write(path, [(json.dumps(data, indent=2, sort_keys=True) + "\n").encode()])
-
-
 def _resolve_schedule(value: str) -> Schedule:
     """A schedule argument is a preset name, a JSON file path, or inline JSON."""
     if value in SCHEDULE_PRESETS:
@@ -87,8 +84,13 @@ def _given(args, *names) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
-def _print_json(data) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True))
+def _emit(args, data: dict, lines: list[str]) -> int:
+    """Print ``data`` as JSON (--json) or ``lines`` as text, then write the JSON to --out if given."""
+    text = json.dumps(data, indent=2, sort_keys=True)
+    print(text if args.json else "\n".join(lines))
+    if args.out:
+        atomic_write(args.out, [(text + "\n").encode()])
+    return 0
 
 
 def _fmt(x: float, digits: int = 4) -> str:
@@ -104,20 +106,17 @@ def cmd_schedule(args) -> int:
     summary["schedule"] = schedule_to_json(schedule)
     if args.csv:
         write_capacity_csv(report, args.csv)
-    if args.json:
-        _print_json(summary)
-    else:
-        print(f"family        {schedule.family.value}")
-        print(f"K_min         {schedule.k_min}")
-        print(f"K_max         {schedule.k_max}")
-        print(f"length        {schedule.length}")
-        print(f"mean_codebook {_fmt(report.mean_codebook, 2)}")
-        print(f"bpp           {_fmt(report.bpp)}")
-        print(f"total_bits    {_fmt(report.cumulative[-1], 2)}")
-        print(f"tstar_vcq     {report.tstar_vcq}  (N={args.n})")
-    if args.out:
-        _write_json(args.out, summary)
-    return 0
+    lines = [
+        f"family        {schedule.family.value}",
+        f"K_min         {schedule.k_min}",
+        f"K_max         {schedule.k_max}",
+        f"length        {schedule.length}",
+        f"mean_codebook {_fmt(report.mean_codebook, 2)}",
+        f"bpp           {_fmt(report.bpp)}",
+        f"total_bits    {_fmt(report.cumulative[-1], 2)}",
+        f"tstar_vcq     {report.tstar_vcq}  (N={args.n})",
+    ]
+    return _emit(args, summary, lines)
 
 
 def _parse_threshold_range(text: str) -> tuple[int, int]:
@@ -138,22 +137,13 @@ def cmd_tstar(args) -> int:
         value = tstar_uniform(args.n, k)
         out["n"] = args.n
         out["tstar"] = value
-        if args.json:
-            _print_json(out)
-        else:
-            print(value)
-        return 0
+        return _emit(args, out, [str(value)])
     if args.thresholds:
         lo, hi = _parse_threshold_range(args.thresholds)
         rows = [(m, data_threshold(k, m)) for m in range(lo, hi + 1)]
         out["thresholds"] = {str(m): n for m, n in rows}
-        if args.json:
-            _print_json(out)
-        else:
-            print(f"{'t*':>4}  {'N_required':>22}")
-            for m, n in rows:
-                print(f"{m:>4}  {n:>22}")
-        return 0
+        lines = [f"{'t*':>4}  {'N_required':>22}"] + [f"{m:>4}  {n:>22}" for m, n in rows]
+        return _emit(args, out, lines)
     if args.datasets:
         try:
             table = [(str(name), config_int(n, "N")) for name, n in json.loads(args.datasets)]
@@ -168,15 +158,9 @@ def cmd_tstar(args) -> int:
     out["datasets"] = [
         {"name": name, "n": n, "log2_n": log_n, "tstar": t} for name, n, t, log_n in rows
     ]
-    if args.json:
-        _print_json(out)
-    else:
-        print(f"{'dataset':<14} {'N':>12} {'log2 N':>7} {'t*':>3}")
-        for name, n, t, log_n in rows:
-            print(f"{name:<14} {n:>12} {log_n:>7.1f} {t:>3}")
-    if args.out:
-        _write_json(args.out, out)
-    return 0
+    lines = [f"{'dataset':<14} {'N':>12} {'log2 N':>7} {'t*':>3}"]
+    lines += [f"{name:<14} {n:>12} {log_n:>7.1f} {t:>3}" for name, n, t, log_n in rows]
+    return _emit(args, out, lines)
 
 
 def cmd_fit(args) -> int:
@@ -209,21 +193,21 @@ def cmd_analyze(args) -> int:
     summary = entropy_mod.profile_summary(profile)
     if args.csv:
         entropy_mod.write_profile_csv(profile, args.csv)
-    if args.json:
-        _print_json(summary)
-    else:
-        print(f"n_samples      {summary['n_samples']}")
-        print(f"length         {summary['length']}")
-        print(f"joint_bits     {_fmt(summary['joint_bits'])}")
-        print(f"cliff_position {summary['cliff_position']} (threshold {profile.cliff_threshold})")
-        head = ", ".join(_fmt(h) for h in profile.conditional_bits[:8])
-        print(f"H(x_t|x_<t)    [{head}{', ...' if len(profile.conditional_bits) > 8 else ''}]")
-    if args.out:
-        _write_json(args.out, summary)
-    return 0
+    head = ", ".join(_fmt(h) for h in profile.conditional_bits[:8])
+    lines = [
+        f"n_samples      {summary['n_samples']}",
+        f"length         {summary['length']}",
+        f"joint_bits     {_fmt(summary['joint_bits'])}",
+        f"cliff_position {summary['cliff_position']} (threshold {profile.cliff_threshold})",
+        f"H(x_t|x_<t)    [{head}{', ...' if len(profile.conditional_bits) > 8 else ''}]",
+    ]
+    return _emit(args, summary, lines)
 
 
 def cmd_generate(args) -> int:
+    # --n and --seed are checked before the count model is fitted, not after
+    sampling = {"n_samples": args.n, "seed": args.seed}
+    check_fields(sampling, "generation", gen_mod.SAMPLE_FIELDS, ranges=gen_mod.SAMPLE_RANGES)
     corpus = read_corpus(args.corpus)
     schedule = _resolve_schedule(args.schedule)
     policy = gen_mod.policy_from_json(_load_json_arg(args.policy), schedule)
@@ -239,14 +223,8 @@ def cmd_memorization(args) -> int:
     training = read_corpus(args.training)
     exact, longest = gen_mod.memorization_report(generated, training)
     report = {"exact_match_rate": exact, "mean_longest_prefix": longest}
-    if args.json:
-        _print_json(report)
-    else:
-        print(f"exact_match_rate    {_fmt(exact)}")
-        print(f"mean_longest_prefix {_fmt(longest)}")
-    if args.out:
-        _write_json(args.out, report)
-    return 0
+    lines = [f"exact_match_rate    {_fmt(exact)}", f"mean_longest_prefix {_fmt(longest)}"]
+    return _emit(args, report, lines)
 
 
 def cmd_experiment(args) -> int:

@@ -17,7 +17,8 @@ Each position yields H(x_t | x_<t) and the prefix-joint entropy
 H(x_<t+1), which gives the exact bound; after the last position the
 surviving groups plus one count per dropped singleton are the full-row
 multiplicities, whose entropy is ``joint_bits``.  :func:`analyze` runs the
-pass once; :func:`joint_entropy` and :func:`chain_rule_check`
+pass once and takes Proposition 1's data-free bound from
+:func:`prop1_bounds`; :func:`joint_entropy` and :func:`chain_rule_check`
 keep an independent full-row ``np.unique`` as the oracle.
 
 Exactness: every term ``(c/n) * log2(c/n)`` uses ``math.log2`` (evaluated
@@ -41,11 +42,10 @@ import numpy as np
 
 from .corpus import TokenCorpus, atomic_write
 from .quantizer import utilization_profile
-from .schedule import Schedule, capacity_report, check_fields, check_range, codebook_sizes
+from .schedule import Family, Schedule, at_least, capacity_report, check_arg, check_fields
 
 __all__ = [
     "EntropyProfile",
-    "Prop1Bounds",
     "conditional_entropy_profile",
     "joint_entropy",
     "prop1_bounds",
@@ -241,73 +241,19 @@ def chain_rule_check(corpus: TokenCorpus) -> tuple[float, float, float]:
     return total, joint, abs(total - joint)
 
 
-@dataclass(frozen=True)
-class Prop1Bounds:
-    """The uniform-codebook entropy bound and its unconditional refinement.
+def prop1_bounds(schedule: Schedule, n_samples: int) -> list[float]:
+    """Proposition 1's data-free bound ``max(0, log2 N - i * log2 k_max)``.
 
-    ``prop1[i]`` = max(0, log2 N - i * log2 K) for 0-based index i (the
-    bound's 1-based position t is i+1).  It presumes earlier positions
-    saturate their capacity; a corpus with a constant early position can
-    exceed it.  ``exact[i]`` = min(log2 K_i, log2 N - H(x_<i)) uses the
-    measured prefix entropy and always dominates the measurement.
-    ``approximate_uniform`` flags that K was taken as the k_max of a
-    non-constant schedule.
+    One value per 0-based index i (the bound's 1-based position t is i+1),
+    with K taken as the schedule's k_max.  The bound presumes that earlier
+    positions saturate their capacity, so a corpus with a constant early
+    position can exceed it; :func:`analyze` pairs it with the exact bound,
+    which never can.
     """
-
-    prop1: list[float]
-    exact: list[float] | None
-    uniform_k: int
-    approximate_uniform: bool
-
-
-def prop1_bounds(
-    corpus: TokenCorpus | None = None,
-    schedule: Schedule | None = None,
-    n_samples: int | None = None,
-) -> Prop1Bounds:
-    """Per-position entropy bounds; the exact bound requires a corpus.
-
-    Callable with a corpus alone (treated as uniform at its k_max), with a
-    corpus plus schedule, or with (schedule, n_samples) for the uniform
-    bound only.
-    """
-    return _bounds(corpus, schedule, n_samples, None)
-
-
-def _bounds(
-    corpus: TokenCorpus | None,
-    schedule: Schedule | None,
-    n_samples: int | None,
-    sweep: _Sweep | None,
-) -> Prop1Bounds:
-    """:func:`prop1_bounds`, reading H(x_<t) from ``sweep`` when one is given."""
-    if corpus is None and (schedule is None or n_samples is None):
-        raise ValueError("need a corpus, or both a schedule and n_samples")
-    n = corpus.n_samples if corpus is not None else int(n_samples)
-    if schedule is None:
-        schedule = Schedule("constant", corpus.k_max, corpus.k_max, corpus.length)
-    length = schedule.length
-    if corpus is not None and corpus.length != length:
-        raise ValueError(
-            f"corpus length {corpus.length} does not match schedule length {length}"
-        )
-    k_uniform = schedule.k_max
-    approximate = schedule.family.value != "constant"
-    sizes = codebook_sizes(schedule)
-    log_n = math.log2(n)
-    log_k = math.log2(k_uniform)
-    prop1 = [max(0.0, log_n - i * log_k) for i in range(length)]
-    exact = None
-    if corpus is not None:
-        if sweep is None:
-            sweep = _refinement_pass(corpus.tokens)
-        prefix = sweep.prefix_joint
-        exact = [
-            min(math.log2(sizes[i]), log_n - prefix[i]) for i in range(length)
-        ]
-    return Prop1Bounds(
-        prop1=prop1, exact=exact, uniform_k=k_uniform, approximate_uniform=approximate
-    )
+    n_samples = check_arg(n_samples, "n_samples", "int", at_least(1))
+    log_n = math.log2(n_samples)
+    log_k = math.log2(schedule.k_max)
+    return [max(0.0, log_n - i * log_k) for i in range(schedule.length)]
 
 
 def cliff_position(profile: list[float], threshold: float = 1.0) -> int:
@@ -316,7 +262,7 @@ def cliff_position(profile: list[float], threshold: float = 1.0) -> int:
     Returns len(profile) when the entropy never settles below the
     threshold, and 0 when it is always below.
     """
-    check_range(threshold, "threshold", THRESHOLD_RANGE)
+    threshold = check_arg(threshold, "threshold", "float", THRESHOLD_RANGE)
     last = -1
     for i, h in enumerate(profile):
         if h >= threshold:
@@ -326,7 +272,14 @@ def cliff_position(profile: list[float], threshold: float = 1.0) -> int:
 
 @dataclass(frozen=True)
 class EntropyProfile:
-    """Complete per-position entropy analysis of one corpus."""
+    """Complete per-position entropy analysis of one corpus.
+
+    ``prop1_bound`` is :func:`prop1_bounds` at K = ``prop1_uniform_k``, the
+    schedule's k_max (``prop1_approximate`` flags a non-constant schedule),
+    and a corpus whose early positions do not saturate can exceed it.
+    ``exact_bound[i]`` = min(log2 K_i, log2 N - H(x_<i)) uses the measured
+    prefix entropy; as H(x_<i+1) <= log2 N it always dominates the measurement.
+    """
 
     conditional_bits: list[float]
     joint_bits: float
@@ -359,19 +312,23 @@ def analyze(
         schedule = Schedule("constant", corpus.k_max, corpus.k_max, corpus.length)
     utilization = utilization_profile(corpus, schedule)
     sweep = _refinement_pass(corpus.tokens)
-    bounds = _bounds(corpus, schedule, None, sweep)
+    capacity = capacity_report(schedule, corpus.n_samples)
+    log_n = math.log2(corpus.n_samples)
     return EntropyProfile(
         conditional_bits=sweep.conditional,
         joint_bits=sweep.joint,
-        remaining_budget=capacity_report(schedule, corpus.n_samples).remaining_budget,
-        prop1_bound=bounds.prop1,
-        exact_bound=bounds.exact,
+        remaining_budget=capacity.remaining_budget,
+        prop1_bound=prop1_bounds(schedule, corpus.n_samples),
+        exact_bound=[
+            min(bits, log_n - prefix)
+            for bits, prefix in zip(capacity.bits_per_position, sweep.prefix_joint)
+        ],
         cliff_position=cliff_position(sweep.conditional, cliff_threshold),
         utilization=utilization,
         cliff_threshold=cliff_threshold,
         n_samples=corpus.n_samples,
-        prop1_uniform_k=bounds.uniform_k,
-        prop1_approximate=bounds.approximate_uniform,
+        prop1_uniform_k=schedule.k_max,
+        prop1_approximate=schedule.family is not Family.CONSTANT,
     )
 
 

@@ -231,14 +231,19 @@ def fit_counts(
     """Count every (class, context, next-token) occurrence up to max_order.
 
     The corpus must carry labels and respect the schedule's per-position
-    sizes, and n_samples * (classes + 1) * k_max must fit in int64, the
-    range of the tables' pairs.  Deterministic: counting is pure.
+    sizes, the schedule's k_max must not exceed the corpus's, and
+    n_samples * (classes + 1) * k_max must fit in int64, the range of the
+    tables' pairs.  Deterministic: counting is pure.
     """
     if corpus.labels is None:
         raise ValueError("fit_counts requires a labelled corpus")
     max_order, smoothing = check_fields(
         {"max_order": max_order, "smoothing": smoothing}, "model", MODEL_FIELDS, ranges=MODEL_RANGES
     ).values()
+    # context keys are composed with corpus.k_max, so a sampled prefix token
+    # at or above it would collide with another context's key
+    if schedule.k_max > corpus.k_max:
+        raise ValueError(f"schedule k_max {schedule.k_max} exceeds corpus k_max {corpus.k_max}")
     sizes, _ = check_corpus(corpus, schedule)
     tokens, n = corpus.tokens, corpus.n_samples
     classes, class_index = np.unique(corpus.labels, return_inverse=True)

@@ -250,6 +250,27 @@ def quantize_position(
     return token, codebook.entries[token].copy(), float(distances[0, 0])
 
 
+def _check_latents(latents, schedule: Schedule, dim: int, k_max: int) -> np.ndarray:
+    """``latents`` as a float64 (n, L, d) array, checked before any is scored.
+
+    Raises ``ValueError`` unless they have the schedule's length and ``dim``
+    columns, the schedule fits in ``k_max`` entries and every value is
+    finite: one NaN or inf would reach every score and every EMA average.
+    """
+    latents = np.asarray(latents, dtype=np.float64)
+    if latents.ndim != 3 or latents.shape[1] != schedule.length:
+        raise ValueError(
+            f"latents must have shape (n, {schedule.length}, d), got {latents.shape}"
+        )
+    if latents.shape[2] != dim:
+        raise ValueError(f"latent dim {latents.shape[2]} does not match codebook dim {dim}")
+    if schedule.k_max > k_max:
+        raise ValueError(f"schedule k_max {schedule.k_max} exceeds codebook size {k_max}")
+    if not np.all(np.isfinite(latents)):
+        raise ValueError("latents contain non-finite values")
+    return latents
+
+
 def quantize_batch(
     latents: np.ndarray, schedule: Schedule, codebook: Codebook
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -259,21 +280,7 @@ def quantize_batch(
     distances (n, L), equal bit for bit to :func:`quantize_position` at
     every position.
     """
-    latents = np.asarray(latents, dtype=np.float64)
-    if latents.ndim != 3 or latents.shape[1] != schedule.length:
-        raise ValueError(
-            f"latents must have shape (n, {schedule.length}, d), got {latents.shape}"
-        )
-    if latents.shape[2] != codebook.dim:
-        raise ValueError(
-            f"latent dim {latents.shape[2]} does not match codebook dim {codebook.dim}"
-        )
-    if schedule.k_max > codebook.k_max:
-        raise ValueError(
-            f"schedule k_max {schedule.k_max} exceeds codebook size {codebook.k_max}"
-        )
-    if not np.all(np.isfinite(latents)):
-        raise ValueError("latents contain non-finite values")
+    latents = _check_latents(latents, schedule, codebook.dim, codebook.k_max)
     entries = codebook.entries[: schedule.k_max].astype(np.float64)
     z1s, table, sizes = _with_ones(latents), _score_table(entries), codebook_sizes(schedule)
     tokens = np.stack([_nearest(z1s[t], entries, table, k_t)[0] for t, k_t in enumerate(sizes)], axis=1)
@@ -355,18 +362,10 @@ def fit_codebook(
     for bit, as with every latent scored every epoch.  The bound state is
     three arrays of L n values.
     """
-    latents = np.asarray(latent_corpus, dtype=np.float64)
-    if latents.ndim != 3 or latents.size == 0:
-        raise ValueError(f"latent corpus must be non-empty (n, L, d), got shape {latents.shape}")
-    n, length, dim = latents.shape
-    if dim != d:
-        raise ValueError(f"latent dim {dim} does not match requested d {d}")
-    if length != schedule.length:
-        raise ValueError(
-            f"latent length {length} does not match schedule length {schedule.length}"
-        )
-    if schedule.k_max > k_max:
-        raise ValueError(f"schedule k_max {schedule.k_max} exceeds codebook size {k_max}")
+    latents = _check_latents(latent_corpus, schedule, d, k_max)
+    if latents.size == 0:
+        raise ValueError(f"latent corpus must be non-empty, got shape {latents.shape}")
+    n, length, _ = latents.shape
     epochs, decay, seed = check_fields(
         {"epochs": epochs, "decay": decay, "seed": seed}, "codebook", FIT_FIELDS, ranges=FIT_RANGES
     ).values()

@@ -43,7 +43,7 @@ __all__ = [
     "write_capacity_csv",
     "capacity_summary",
     "config_int",
-    "check_range",
+    "check_arg",
     "at_least",
     "check_fields",
     "SCHEDULE_FIELDS",
@@ -78,16 +78,21 @@ def config_int(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def check_range(value, name: str, rule) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` lies in the range ``rule``.
+def check_arg(value, name: str, kind: str, rule=None):
+    """One argument, checked as :func:`check_fields` checks a field: its type ``kind``, then ``rule``.
 
     A rule is a (test, text) pair such as ``(lambda v: v > 0, "> 0")``;
     each stage states the ranges of its options once, as rules its own
     check and :func:`check_fields` (for the config loader) both apply.
+    Raises ``ValueError`` naming ``name``; returns ints as ``int`` and
+    floats as ``float``.
     """
-    test, text = rule
-    if not test(value):
-        raise ValueError(f"{name} must be {text}, got {value}")
+    value = _check_value(value, kind, name)
+    if rule is not None:
+        test, text = rule
+        if not test(value):
+            raise ValueError(f"{name} must be {text}, got {value}")
+    return value
 
 
 def at_least(bound):
@@ -189,9 +194,8 @@ def tstar_uniform(n_samples: int, k: int) -> int:
     boundary cases at exact powers of K are never off by a float ulp.
     Returns 0 for a single-sample dataset.
     """
-    check_range(n_samples, "n_samples", at_least(1))
-    if k < 2:
-        raise ValueError(f"k must be >= 2 (log2 K vanishes at K=1), got {k}")
+    n_samples = check_arg(n_samples, "n_samples", "int", at_least(1))
+    k = check_arg(k, "k", "int", (lambda v: v >= 2, ">= 2 (log2 K vanishes at K=1)"))
     t, reach = 0, 1
     while reach < n_samples:
         reach *= k
@@ -205,8 +209,8 @@ def data_threshold(k: int, m: int) -> int:
     Exact arbitrary-precision integer; K**4 already overflows 32-bit and
     brushes against 64-bit for large K.
     """
-    for name, value in (("k", k), ("m", m)):
-        check_range(value, name, at_least(1))
+    k = check_arg(k, "k", "int", at_least(1))
+    m = check_arg(m, "m", "int", at_least(1))
     return k ** (m - 1)
 
 
@@ -240,8 +244,8 @@ def capacity_report(
     schedule: Schedule, n_samples: int, pixel_count: int = 65536
 ) -> CapacityReport:
     """Evaluate sizes, bit budget, mean codebook size, BPP and t* in one pass."""
-    for name, value in (("pixel_count", pixel_count), ("n_samples", n_samples)):
-        check_range(value, name, at_least(1))
+    pixel_count = check_arg(pixel_count, "pixel_count", "int", at_least(1))
+    n_samples = check_arg(n_samples, "n_samples", "int", at_least(1))
     sizes = codebook_sizes(schedule)
     bits = [math.log2(k) for k in sizes]
     # I(t), the one capacity computation: tstar_vcq and analyze read it from here
@@ -312,7 +316,7 @@ def check_fields(data, section: str, types: dict[str, str], required=(), ranges=
     "str", "dict" or "list".  An unknown key, a missing ``required`` key, a
     value of the wrong type (a bool or string as a number, a non-integral
     integer, a non-finite float) or a value outside its rule in ``ranges``
-    (see :func:`check_range`) raises ``ValueError`` naming ``section.key``.
+    (see :func:`check_arg`) raises ``ValueError`` naming ``section.key``.
     Returns the given keys only, ints as ``int`` and floats as ``float``, so
     absent keys keep the defaults of whatever the section is passed to.
     """
@@ -326,7 +330,7 @@ def check_fields(data, section: str, types: dict[str, str], required=(), ranges=
     checked = {key: _check_value(value, types[key], f"{section}.{key}") for key, value in data.items()}
     for key, rule in (ranges or {}).items():
         if key in checked:
-            check_range(checked[key], f"{section}.{key}", rule)
+            check_arg(checked[key], f"{section}.{key}", types[key], rule)
     return checked
 
 

@@ -2,6 +2,7 @@
 stage functions a library caller reaches directly."""
 
 import importlib
+import math
 import pkgutil
 import re
 
@@ -9,10 +10,17 @@ import numpy as np
 import pytest
 
 import vcqlab
-from vcqlab.entropy import analyze
+from vcqlab.entropy import analyze, cliff_position
 from vcqlab.generation import GuidancePolicy, fit_counts, sample_corpus
 from vcqlab.quantizer import fit_codebook
-from vcqlab.schedule import Family, Schedule
+from vcqlab.schedule import (
+    SCHEDULE_PRESETS,
+    Family,
+    Schedule,
+    capacity_report,
+    data_threshold,
+    tstar_uniform,
+)
 from vcqlab.toylab import fit_encoder
 
 from conftest import random_corpus
@@ -68,6 +76,55 @@ STAGES = {
 def test_stage_options_are_checked(stage, option, value, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         STAGES[stage](**{option: value})
+
+
+COSINE = SCHEDULE_PRESETS["cosine"]
+
+
+CAPACITY_CALLS = {
+    "capacity_report": lambda *args: capacity_report(COSINE, *args),
+    "tstar_uniform": tstar_uniform,
+    "data_threshold": data_threshold,
+    "cliff_position": lambda threshold: cliff_position([1.0], threshold),
+}
+
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    [
+        ("capacity_report", (True,), "n_samples must be an integer, got True"),
+        ("capacity_report", (2.5,), "n_samples must be an integer, got 2.5"),
+        ("capacity_report", ("12",), "n_samples must be an integer, got '12'"),
+        ("capacity_report", (0,), "n_samples must be >= 1, got 0"),
+        ("capacity_report", (10, True), "pixel_count must be an integer, got True"),
+        ("capacity_report", (10, 0.5), "pixel_count must be an integer, got 0.5"),
+        ("tstar_uniform", (True, 16384), "n_samples must be an integer, got True"),
+        ("tstar_uniform", (1000.5, 16384), "n_samples must be an integer, got 1000.5"),
+        ("tstar_uniform", (1000, 2.5), "k must be an integer, got 2.5"),
+        ("tstar_uniform", (1000, True), "k must be an integer, got True"),
+        ("tstar_uniform", (1000, 1), "k must be >= 2 (log2 K vanishes at K=1), got 1"),
+        ("data_threshold", (True, 2), "k must be an integer, got True"),
+        ("data_threshold", (16384, 2.5), "m must be an integer, got 2.5"),
+        ("data_threshold", (16384, 0), "m must be >= 1, got 0"),
+        ("cliff_position", (True,), "threshold must be a number, got True"),
+        ("cliff_position", ("1",), "threshold must be a number, got '1'"),
+        ("cliff_position", (math.nan,), "threshold must be finite, got nan"),
+        ("cliff_position", (0,), "threshold must be finite and > 0, got 0"),
+    ],
+)
+def test_capacity_arguments_are_checked(function, args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CAPACITY_CALLS[function](*args)
+
+
+def test_integral_float_arguments_are_the_integers():
+    report = capacity_report(COSINE, 1_281_167.0, pixel_count=65536.0)
+    assert (report.n_samples, report.pixel_count) == (1_281_167, 65536)
+    assert type(report.n_samples) is int and type(report.pixel_count) is int
+    assert report == capacity_report(COSINE, 1_281_167)
+    assert tstar_uniform(1_281_167.0, 16384.0) == 2
+    assert data_threshold(16384.0, 3.0) == 268_435_456
+    assert type(data_threshold(16384.0, 3.0)) is int
 
 
 def test_integral_float_options_are_the_integers():

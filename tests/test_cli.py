@@ -195,8 +195,10 @@ class TestPipelineCommands:
             ["tstar"],
             ["analyze", "--corpus", "{flat}"],
             ["memorization", "--generated", "{flat}", "--training", "{flat}"],
+            ["tstar", "--n", "1281167"],
+            ["tstar", "--thresholds", "2..5"],
         ],
-        ids=["schedule", "tstar", "analyze", "memorization"],
+        ids=["schedule", "tstar", "analyze", "memorization", "tstar_n", "tstar_thresholds"],
     )
     def test_out_file_equals_json_output(self, tmp_path, capsys, argv):
         import numpy as np
@@ -206,14 +208,48 @@ class TestPipelineCommands:
         flat = tmp_path / "flat.vcqt"
         write_corpus(TokenCorpus(tokens=np.tile([1, 2, 3], (12, 1)), k_max=8), flat)
         argv = [a.format(flat=flat) for a in argv]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
         assert main(argv + ["--json"]) == 0
         printed = capsys.readouterr().out
         out = tmp_path / "summary.json"
         assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == text  # --out keeps the text table
         assert out.read_text() == printed
         assert sorted(p.name for p in tmp_path.iterdir()) == ["flat.vcqt", "summary.json"]
         if argv[0] == "analyze":  # identical rows: the sign of zero survives
             assert '"joint_bits": -0.0' in printed
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--n", "0", "data error: generation.n_samples must be >= 1, got 0"),
+            ("--seed", "-1", "data error: generation.seed must be >= 0, got -1"),
+        ],
+        ids=["n", "seed"],
+    )
+    def test_generate_checks_n_and_seed_before_fitting(
+        self, tmp_path, capsys, monkeypatch, flag, value, message
+    ):
+        import numpy as np
+
+        from vcqlab import generation
+        from vcqlab.corpus import TokenCorpus, write_corpus
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_counts ran before --n and --seed were checked")
+
+        monkeypatch.setattr(generation, "fit_counts", no_fit)
+        corpus = tmp_path / "train.vcqt"
+        write_corpus(TokenCorpus(tokens=np.array([[0, 1], [1, 0]]), k_max=4, labels=[0, 1]), corpus)
+        options = {"--n": "2", "--seed": "0", flag: value}
+        sched = '{"family": "constant", "k_min": 4, "k_max": 4, "length": 2}'
+        argv = ["generate", "--corpus", str(corpus), "--schedule", sched,
+                "--policy", "{}", "--out", str(tmp_path / "gen.vcqt")]
+        argv += [item for pair in options.items() for item in pair]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "gen.vcqt").exists()
 
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_non_finite_threshold_is_data_error(self, tmp_path, capsys, threshold):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import vcqlab
-from vcqlab.cli import _write_json, main
+from vcqlab.cli import build_parser, main
 from vcqlab.corpus import CORPUS_MAGIC, TokenCorpus, atomic_write, read_corpus, write_corpus
 from vcqlab.entropy import analyze, refine_groups, write_profile_csv
 from vcqlab.generation import GuidancePolicy, fit_counts, memorization_report, sample_corpus
@@ -20,7 +20,6 @@ from vcqlab.schedule import (
     SCHEDULE_PRESETS,
     Schedule,
     capacity_report,
-    capacity_summary,
     write_capacity_csv,
 )
 
@@ -126,6 +125,12 @@ def _fail_rename(src, dst):
     raise OSError("simulated rename failure")
 
 
+def _run_command(argv):
+    """A CLI command without main()'s error handling, so its OSError reaches the caller."""
+    args = build_parser().parse_args(argv)
+    return args.fn(args)
+
+
 CSV_WRITERS = {
     "profile_csv": lambda path, seed: write_profile_csv(
         analyze(random_corpus(seed, 6, 4, 4)), path
@@ -145,7 +150,7 @@ class TestAtomicWrite:
             lambda path: CSV_WRITERS["profile_csv"](path, 5),
             lambda path: CSV_WRITERS["capacity_csv"](path, 5),
             # the JSON summary of `vcqlab schedule --out`
-            lambda path: _write_json(path, capacity_summary(capacity_report(SCHEDULE_PRESETS["cosine"], 1000))),
+            lambda path: _run_command(["schedule", "--preset", "cosine", "--n", "1000", "--out", str(path)]),
         ],
         ids=["corpus", "codebook", "profile_csv", "capacity_csv", "schedule_json"],
     )

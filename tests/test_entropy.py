@@ -150,19 +150,23 @@ class TestRemainingBudget:
 class TestProp1Bounds:
     def test_uniform_bound_values(self):
         sched = Schedule(Family.CONSTANT, 16384, 16384, 4)
-        bounds = prop1_bounds(schedule=sched, n_samples=50_000)
+        bound = prop1_bounds(sched, 50_000)
         log_n = math.log2(50_000)
-        assert bounds.prop1[0] == pytest.approx(log_n)  # paper's t=1
-        assert bounds.prop1[1] == pytest.approx(log_n - 14.0)
-        assert bounds.prop1[2] == 0.0                   # paper's t=3
-        assert bounds.exact is None
-        assert not bounds.approximate_uniform
+        assert len(bound) == 4
+        assert bound[0] == pytest.approx(log_n)  # paper's t=1
+        assert bound[1] == pytest.approx(log_n - 14.0)
+        assert bound[2] == 0.0                   # paper's t=3
 
-    def test_non_constant_schedule_flagged(self):
+    def test_non_constant_schedule_flagged(self, rng):
         sched = Schedule(Family.COSINE, 2, 64, 8)
-        bounds = prop1_bounds(schedule=sched, n_samples=100)
-        assert bounds.approximate_uniform
-        assert bounds.uniform_k == 64
+        tokens = rng.integers(0, codebook_sizes(sched), size=(100, 8))
+        profile = analyze(TokenCorpus(tokens=tokens, k_max=64), sched)
+        assert profile.prop1_approximate
+        assert profile.prop1_uniform_k == 64
+        assert profile.prop1_bound == prop1_bounds(sched, 100)
+        uniform = analyze(TokenCorpus(tokens=tokens, k_max=64))
+        assert not uniform.prop1_approximate
+        assert uniform.prop1_bound == prop1_bounds(Schedule(Family.CONSTANT, 64, 64, 8), 100)
 
     def test_adversarial_corpus_violates_prop1_not_exact(self):
         # constant first position, full branching afterwards: H(x_1|x_0) is
@@ -175,23 +179,25 @@ class TestProp1Bounds:
         )
         corpus = TokenCorpus(tokens=tokens, k_max=k)
         sched = Schedule(Family.CONSTANT, k, k, 4)
-        bounds = prop1_bounds(corpus, sched)
-        profile = conditional_entropy_profile(corpus)
-        assert profile[1] > bounds.prop1[1]  # stated bound is violated
+        profile = analyze(corpus, sched)
+        h = profile.conditional_bits
+        assert h[1] > profile.prop1_bound[1]  # stated bound is violated
         for t in range(4):
-            assert profile[t] <= bounds.exact[t] + 1e-9
+            assert h[t] <= profile.exact_bound[t] + 1e-9
 
     def test_exact_bound_dominates_on_random_corpora(self):
         for seed in range(20):
-            corpus = random_corpus((seed, 3), 50, 6, 4)
-            bounds = prop1_bounds(corpus)
-            profile = conditional_entropy_profile(corpus)
+            profile = analyze(random_corpus((seed, 3), 50, 6, 4))
             for t in range(6):
-                assert profile[t] <= bounds.exact[t] + 1e-9
+                assert profile.conditional_bits[t] <= profile.exact_bound[t] + 1e-9
 
-    def test_requires_corpus_or_pair(self):
-        with pytest.raises(ValueError):
-            prop1_bounds()
+    def test_requires_schedule_and_n_samples(self):
+        sched = Schedule(Family.CONSTANT, 4, 4, 3)
+        with pytest.raises(TypeError):
+            prop1_bounds(random_corpus(0, 5, 3, 4))
+        for n, message in ((0, "n_samples must be >= 1, got 0"), (True, "must be an integer")):
+            with pytest.raises(ValueError, match=message):
+                prop1_bounds(sched, n)
 
 
 class TestCliffPosition:
@@ -338,7 +344,6 @@ class TestEngineOracle:
                 for t in range(corpus.length)
             ]
             assert profile.exact_bound == exact
-            assert prop1_bounds(corpus).exact == exact
             naive_util = [
                 len(np.unique(tokens[:, t])) / corpus.k_max for t in range(corpus.length)
             ]

@@ -293,6 +293,13 @@ class TestFitCounts:
         with pytest.raises(ValueError, match="does not match this schedule"):
             fit_counts(corpus, sched)
 
+    def test_schedule_wider_than_corpus_rejected(self):
+        # contexts are keyed with the corpus's k_max: a sampled token at or
+        # above it would collide with another context's key
+        corpus = make_corpus([[0, 1, 2], [3, 2, 1]], 4, [0, 1])
+        with pytest.raises(ValueError, match="schedule k_max 8 exceeds corpus k_max 4"):
+            fit_counts(corpus, Schedule(Family.CONSTANT, 8, 8, 3), smoothing=50)
+
     def test_pooled_is_sum_over_classes(self):
         corpus = make_corpus([[0, 1], [0, 2], [1, 1]], 8, [0, 1, 0])
         model = fit_counts(corpus, Schedule(Family.CONSTANT, 8, 8, 2))

@@ -416,6 +416,31 @@ class TestDecode:
 
 
 class TestFitCodebook:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_latents_refused_before_any_epoch(self, rng, bad):
+        sched = Schedule(Family.COSINE, 2, 8, 4)
+        latents = rng.normal(size=(6, 4, 3))
+        latents[2, 1, 0] = bad
+        with pytest.raises(ValueError, match="latents contain non-finite values"):
+            fit_codebook(latents, sched, k_max=8, d=3, epochs=2)
+        with pytest.raises(ValueError, match="latents contain non-finite values"):
+            quantize_batch(latents, sched, Codebook(entries=rng.normal(size=(8, 3))))
+
+    def test_shares_the_latent_checks_of_quantize_batch(self, rng):
+        sched = Schedule(Family.COSINE, 2, 8, 4)
+        codebook = Codebook(entries=rng.normal(size=(4, 3)))
+        for latents, message in (
+            (rng.normal(size=(6, 5, 3)), "latents must have shape"),
+            (rng.normal(size=(6, 4)), "latents must have shape"),
+            (rng.normal(size=(6, 4, 2)), "latent dim 2 does not match codebook dim 3"),
+            (rng.normal(size=(6, 4, 3)), "schedule k_max 8 exceeds codebook size 4"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                fit_codebook(latents, sched, k_max=4, d=3)
+            with pytest.raises(ValueError, match=message):
+                quantize_batch(latents, sched, codebook)
+
     def test_identical_vectors_single_cluster(self, rng):
         v = rng.normal(size=4)
         latents = np.tile(v, (20, 2, 1))
