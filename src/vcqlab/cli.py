@@ -130,6 +130,21 @@ def _parse_threshold_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _largest_printable_m(k: int, digits: int) -> int:
+    """Largest M whose N_required = k**(M-1) has at most ``digits`` digits.
+
+    k**e has floor(e·log10 k) + 1 digits, so the largest e is the largest
+    with k**e < 10**digits, found exactly in integers from a float guess.
+    """
+    bound = 10**digits
+    e = int(digits / math.log10(k))
+    while k**e >= bound:
+        e -= 1
+    while k ** (e + 1) < bound:
+        e += 1
+    return e + 1
+
+
 def cmd_tstar(args) -> int:
     k = args.k
     out: dict = {"k": k}
@@ -140,6 +155,15 @@ def cmd_tstar(args) -> int:
         return _emit(args, out, [str(value)])
     if args.thresholds:
         lo, hi = _parse_threshold_range(args.thresholds)
+        # Python prints no integer beyond sys.get_int_max_str_digits() digits
+        # (4300 by default; taken as 4300 where the limit is off or missing),
+        # so M is refused before any k**(M-1) is built; data_threshold checks k
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        if k >= 2 and hi > (largest := _largest_printable_m(k, digits)):
+            raise ValueError(
+                f"--thresholds {args.thresholds}: M must be at most {largest} at K={k}, "
+                f"since N_required = K**(M-1) would have more than {digits} digits"
+            )
         rows = [(m, data_threshold(k, m)) for m in range(lo, hi + 1)]
         out["thresholds"] = {str(m): n for m, n in rows}
         lines = [f"{'t*':>4}  {'N_required':>22}"] + [f"{m:>4}  {n:>22}" for m, n in rows]

@@ -23,8 +23,9 @@ keep an independent full-row ``np.unique`` as the oracle.
 
 Exactness: every term ``(c/n) * log2(c/n)`` uses ``math.log2`` (evaluated
 once per distinct ratio), and every sum is exactly rounded: ``math.fsum``,
-a single IEEE add for a group of at most two children, or a single IEEE
-product ``m * x`` for a group of m children with one count.  So results are
+a single IEEE add for a group of at most two children, an int64 sum of a
+wider group's terms on the grid of its smallest exponent, or
+:func:`_exact_sum` of each distinct term times its repeats.  So results are
 independent of grouping order and equal the naive definitions bit for bit,
 signed zeros included: a one-child group gives -0.0, and the joint entropy
 of identical rows is -0.0.
@@ -66,16 +67,22 @@ ANALYZE_FIELDS = {"cliff_threshold": "float"}
 ANALYZE_RANGES = {"cliff_threshold": THRESHOLD_RANGE}
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# Columns and bytes of the row-major token slab that _refinement_pass reads
+# before the cliff
+_SLAB_COLUMNS = 8
+_SLAB_BYTES = 1 << 25
 
 
 def entropy_from_counts(counts) -> float:
     """Entropy in bits of the empirical distribution given positive integer counts.
 
     Every term is ``(c/n) * math.log2(c/n)`` with ``n`` the exact integer
-    total, and ``math.fsum`` rounds the sum exactly, so the result does not
-    depend on the order of the counts.  Raises ``ValueError`` naming the bad
-    count for an empty input, a count below 1, a count that is not an
-    integer and a count beyond int64; nothing is truncated or wrapped.
+    total, evaluated once per distinct count, and :func:`_exact_sum` rounds
+    the sum of every term times its repeats exactly, as ``math.fsum`` of
+    one term per count does, so the result does not depend on the order of
+    the counts.  Raises ``ValueError`` naming the bad count for an empty
+    input, a count below 1, a count that is not an integer and a count
+    beyond int64; nothing is truncated or wrapped.
     """
     counts = np.asarray(counts)
     if counts.ndim != 1 or not counts.size:
@@ -107,7 +114,8 @@ def entropy_from_counts(counts) -> float:
     counts = counts.astype(np.int64, copy=False)
     if counts[high] > _INT64_MAX // counts.size and sum(counts.tolist()) > _INT64_MAX:
         raise ValueError(f"counts must sum to at most {_INT64_MAX}")
-    return -math.fsum(_xlog2x(counts / int(counts.sum())).tolist())
+    distinct, repeats = np.unique(counts, return_counts=True)
+    return -_exact_sum(_xlog2x(distinct / int(counts.sum())).tolist(), repeats.tolist())
 
 
 def refine_groups(gids: np.ndarray, column: np.ndarray, k: int):
@@ -140,24 +148,55 @@ def _xlog2x(ratios: np.ndarray) -> np.ndarray:
     return ratios * logs[inverse.reshape(-1)]
 
 
-def _group_sums(inner, counts, starts, n_children) -> np.ndarray:
+def _exact_sum(values: list[float], repeats: list[int]) -> float:
+    """Correctly rounded sum of ``repeats[i]`` copies of every finite ``values[i]``.
+
+    Each float is a binary fraction p / q with q a power of two
+    (``as_integer_ratio``), so over the largest q the Python integer sum of
+    m·p·(Q/q) is the exact sum, and one integer true division rounds it
+    correctly.  ``math.fsum`` of the list with every value repeated rounds
+    the same exact sum correctly, so the two are equal bit for bit, in time
+    that grows with the number of values and not with the repeats.  Every
+    repeat must be >= 1; at an exact zero the result is ``math.fsum``'s own
+    zero, whose sign follows the values' signs, not their repeats.
+    """
+    fractions = [x.as_integer_ratio() for x in values]
+    scale = max((q for _, q in fractions), default=1)
+    total = sum(m * p * (scale // q) for (p, q), m in zip(fractions, repeats))
+    if total:
+        return total / scale
+    return 0.0 if any(values) else math.fsum(values)
+
+
+def _group_sums(inner, starts, n_children) -> np.ndarray:
     """Exactly rounded sum of ``inner`` over each group of children.
 
     Group g holds the ``n_children[g]`` children from ``starts[g]``; the
     term of a child of count c in a group of T rows is ``(c/T) log2(c/T)``.
-    A group of one or two children is one IEEE add.  A group whose m
-    children share one count has m equal terms x: the exact sum is m·x, and
-    the IEEE product ``m * x`` rounds it correctly, as ``math.fsum`` of the
-    m copies does, so the two are equal bit for bit.  Only the remaining
-    groups, whose counts differ, run ``math.fsum``.
+    A group of one or two children is one IEEE add.  A wider group has
+    only negative terms (every c < T), each f·2**(e-53) with f an integer
+    below 2**53 in magnitude (``np.frexp``): on the grid of the group's
+    smallest e the terms are the integers f·2**shift, and while
+    ``n_children << max(shift)`` is at most 2**10 their sum is exact in
+    int64.  Converting it to float64 rounds it once, correctly, as
+    ``math.fsum`` does, and the power-of-two scale is exact (the sum is at
+    least one term, far from the subnormal range).  The few groups spread
+    wider run ``math.fsum``.
     """
     sums = np.add.reduceat(inner, starts)
     wide = n_children > 2
     if not wide.any():
         return sums
-    equal = wide & (np.minimum.reduceat(counts, starts) == np.maximum.reduceat(counts, starts))
-    sums[equal] = n_children[equal] * inner[starts[equal]]
-    for g in np.flatnonzero(wide & ~equal).tolist():
+    groups = np.flatnonzero(wide)
+    size = n_children[groups]
+    first = np.cumsum(size) - size
+    fraction, exponent = np.frexp(inner[np.repeat(wide, n_children)])
+    low = np.minimum.reduceat(exponent, first)
+    shift = np.minimum(exponent - np.repeat(low, size), 11)
+    fits = (size << np.maximum.reduceat(shift, first)) <= 1 << 10
+    exact = np.add.reduceat(np.ldexp(fraction, 53).astype(np.int64) << shift, first)
+    sums[groups[fits]] = np.ldexp(exact[fits].astype(np.float64), low[fits] - 53)
+    for g in groups[~fits].tolist():
         sums[g] = math.fsum(inner[starts[g] : starts[g] + n_children[g]].tolist())
     return sums
 
@@ -179,8 +218,19 @@ def _refinement_pass(tokens: np.ndarray) -> _Sweep:
     singleton contribute no conditional entropy at any later position and
     are dropped; they are counted in ``n_singletons``.  After the last
     position the child counts plus ``n_singletons`` ones are the multiset
-    of full-row multiplicities, which gives the joint entropy.  Each group's
-    sum of child terms is exactly rounded (:func:`_group_sums`).
+    of full-row multiplicities, which gives the joint entropy.
+
+    Work beyond the grouping follows the distinct counts, not the rows:
+    the children are deduplicated by (group size T, count c), so each term
+    ``(c/T) log2(c/T)`` is evaluated once per distinct pair and each
+    ``(c/n) log2(c/n)`` once per distinct c; each group's sum of child
+    terms is exactly rounded (:func:`_group_sums`), and the prefix-joint
+    and joint sums are :func:`_exact_sum` of the distinct terms with their
+    repeats.  Before the cliff, while the prefix groups average four rows
+    or more, the next ``_SLAB_COLUMNS`` tokens of every surviving row are
+    copied once into a row-major slab of at most ``_SLAB_BYTES``, and each
+    position reads its column from that slab instead of one cache line of
+    ``tokens`` per row; after it, each column is gathered directly.
     """
     n, length = tokens.shape
     rows = np.arange(n)
@@ -188,13 +238,22 @@ def _refinement_pass(tokens: np.ndarray) -> _Sweep:
     n_singletons = 0
     conditional: list[float] = []
     prefix_joint = [0.0]
+    n_groups = 1
+    slab, slab_start = None, 0
     for t in range(length):
         singleton_term = n_singletons * ((1.0 / n) * math.log2(n)) if n_singletons else 0.0
         if not rows.size:
             conditional.append(0.0)
             prefix_joint.append(singleton_term)
             continue
-        column = tokens[rows, t]
+        if slab is None or t - slab_start == slab.shape[1]:
+            columns = min(_SLAB_COLUMNS, length - t, _SLAB_BYTES // (rows.size * tokens.itemsize))
+            # before the cliff: the rows of prefix groups that average four
+            # rows or more mostly survive the next positions
+            big_groups = rows.size >= 4 * n_groups
+            slab = tokens[rows, t : t + columns] if big_groups and columns > 1 else None
+            slab_start = t
+        column = tokens[rows, t] if slab is None else slab[:, t - slab_start]
         # keys composed with the column's own width keep (group, token) order
         # and stay small enough for refine_groups to count them in place
         width = int(column.max()) + 1
@@ -203,19 +262,39 @@ def _refinement_pass(tokens: np.ndarray) -> _Sweep:
         starts = np.flatnonzero(np.concatenate(([True], parents[1:] != parents[:-1])))
         totals = np.add.reduceat(counts, starts)
         n_children = np.diff(np.append(starts, counts.size))
+        # the distinct (T, c) pairs of the children, each child's pair and its repeats
+        pair_width = int(counts.max()) + 1
+        pairs, pair_of_child, repeats = refine_groups(
+            np.repeat(totals, n_children), counts, pair_width
+        )
+        sizes = pairs % pair_width
         # (c/T) log2(c/T) of every child c of a group of T rows
-        inner = _xlog2x(counts / np.repeat(totals, n_children))
-        group_sums = _group_sums(inner, counts, starts, n_children)
+        inner = _xlog2x(sizes / (pairs // pair_width))[pair_of_child]
+        group_sums = _group_sums(inner, starts, n_children)
         conditional.append(math.fsum(((totals / n) * -group_sums).tolist()))
-        terms = _xlog2x(counts / n)  # (c/n) log2(c/n)
-        prefix_joint.append(math.fsum((-terms).tolist()) + singleton_term)
-        keep = counts[inverse] > 1
-        n_singletons += rows.size - int(np.count_nonzero(keep))
-        rows = rows[keep]
-        gids = inverse[keep]
-    # full-row multiplicities: every surviving group, and one per singleton
-    _, full_rows = np.unique(gids, return_counts=True)
-    joint = entropy_from_counts(np.concatenate((full_rows, np.ones(n_singletons, np.int64))))
+        # (c/n) log2(c/n) once per distinct child count c, with its repeats
+        distinct, which = np.unique(sizes, return_inverse=True)
+        c_repeats = np.zeros(distinct.size, dtype=np.int64)
+        np.add.at(c_repeats, which, repeats)
+        terms = _xlog2x(distinct / n)
+        prefix_joint.append(_exact_sum((-terms).tolist(), c_repeats.tolist()) + singleton_term)
+        # a child of count 1 is one row that became a singleton
+        dropped = int(np.count_nonzero(counts == 1))
+        gids = inverse
+        if dropped:
+            n_singletons += dropped
+            keep = (counts > 1)[inverse]
+            rows, gids = rows[keep], gids[keep]
+            slab = None if slab is None else slab[keep]
+        n_groups = counts.size - dropped
+    # full-row multiplicities: every group alive after the last position,
+    # and one per singleton
+    alive = sizes > 1
+    full_rows, full_repeats = sizes[alive].tolist(), repeats[alive].tolist()
+    if n_singletons:
+        full_rows.append(1)
+        full_repeats.append(n_singletons)
+    joint = -_exact_sum(_xlog2x(np.array(full_rows) / n).tolist(), full_repeats)
     return _Sweep(conditional, prefix_joint, joint)
 
 

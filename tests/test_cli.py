@@ -102,6 +102,22 @@ class TestTstarCommand:
     def test_bad_threshold_range(self, capsys):
         assert main(["tstar", "--thresholds", "five"]) == 1
 
+    @pytest.mark.parametrize("spec", ["1100..1100", "2..100000"])
+    def test_thresholds_beyond_printable_exit_2_before_any_power(self, capsys, monkeypatch, spec):
+        import vcqlab.cli
+
+        monkeypatch.setattr(vcqlab.cli, "data_threshold", lambda k, m: pytest.fail("k**(m-1) built"))
+        assert main(["tstar", "--thresholds", spec]) == 2
+        err = capsys.readouterr().err
+        assert f"--thresholds {spec}: M must be at most 1021 at K=16384" in err
+
+    def test_largest_allowed_threshold_prints(self, capsys):
+        assert main(["tstar", "--thresholds", "1..1021", "--json"]) == 0
+        thresholds = json.loads(capsys.readouterr().out)["thresholds"]
+        assert thresholds["1021"] == 16384**1020 and len(str(thresholds["1021"])) == 4299
+        assert main(["tstar", "--thresholds", "1022..1022"]) == 2
+        assert "at most 1021" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n", ["1.9", "true", '"12"'])
     def test_dataset_sizes_must_be_integers(self, capsys, n):
         assert main(["tstar", "--datasets", f'[["a", {n}]]']) == 1

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -312,17 +313,29 @@ def _engine_corpus(kind, seed):
         tokens = np.zeros((n, length), dtype=np.int64)
     elif kind == "identical":
         tokens = np.tile(rng.integers(0, k, size=length), (n, 1))
-    else:  # "singleton_tail": shared prefix, then every row distinct
+    elif kind == "singleton_tail":  # shared prefix, then every row distinct
         k = 64
         length = max(length, 4)
         tokens = np.zeros((n, length), dtype=np.int64)
         tokens[:, 1] = rng.integers(0, 2, size=n)
         tokens[:, 2:] = rng.integers(0, k, size=(n, length - 2))
         tokens[:, 2] = rng.permutation(k)[:n] if n <= k else rng.integers(0, k, size=n)
+    else:  # "long_groups": groups that outlive several token slabs, and strays
+        length = int(rng.integers(3, 5)) * vcqlab.entropy._SLAB_COLUMNS + int(rng.integers(0, 3))
+        n = min(n, 40)
+        base = rng.integers(0, k, size=(max(1, n // 8), length))
+        tokens = base[rng.integers(0, len(base), size=n)]
+        # strays leave their group at a random position, often inside a slab
+        strays = rng.random(n) < 0.3
+        shared = np.arange(length) < rng.integers(0, length, size=n)[:, None]
+        noise = rng.integers(0, k, size=(n, length))
+        tokens[strays] = np.where(shared, tokens, noise)[strays]
+        # the ids stay small, the dtype is uint8, uint16 or uint32
+        k = [k, 300, 70_000][seed % 3]
     return TokenCorpus(tokens=tokens, k_max=k)
 
 
-ENGINE_KINDS = ["duplicated", "n1", "l1", "k1", "identical", "singleton_tail"]
+ENGINE_KINDS = ["duplicated", "n1", "l1", "k1", "identical", "singleton_tail", "long_groups"]
 
 
 class TestEngineOracle:
@@ -372,6 +385,20 @@ class TestEngineOracle:
             want = oracle_entropy(counts)
             assert repr(entropy_from_counts(counts)) == repr(want)  # -0.0 for one count
             assert repr(entropy_from_counts(np.array(counts))) == repr(want)
+
+    def test_long_groups_outlive_two_slabs(self):
+        # the precondition of the "long_groups" kind: its rows are read across
+        # slab boundaries, and some rows leave their group inside a slab
+        columns = vcqlab.entropy._SLAB_COLUMNS
+        for seed in range(12):
+            tokens = _engine_corpus("long_groups", seed).tokens
+            _, inverse, counts = np.unique(
+                tokens[:, : 2 * columns + 1], axis=0, return_inverse=True, return_counts=True
+            )
+            assert tokens.shape[1] >= 3 * columns
+            assert np.count_nonzero(counts[inverse.reshape(-1)] > 1) >= 2
+        dtypes = {_engine_corpus("long_groups", seed).tokens.dtype for seed in range(3)}
+        assert dtypes == {np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32)}
 
     def test_identical_rows_joint_is_negative_zero(self):
         corpus = TokenCorpus(tokens=np.tile([2, 0, 1], (5, 1)), k_max=3)
@@ -509,17 +536,46 @@ def _shared_multiset_corpus(seed):
 class TestGroupSums:
     """One exactly rounded sum per group, whatever route computes it."""
 
+    @staticmethod
+    def _terms(groups):
+        """_group_sums' inputs for groups given as lists of child counts."""
+        counts = np.array([c for group in groups for c in group], dtype=np.int64)
+        n_children = np.array([len(group) for group in groups])
+        totals = np.repeat([sum(group) for group in groups], n_children)
+        starts = np.cumsum(n_children) - n_children
+        ratios = counts / totals
+        inner = ratios * np.array([math.log2(r) for r in ratios.tolist()])
+        return inner, starts, n_children
+
     def test_equal_count_product_is_fsum_of_copies(self):
         rng = np.random.default_rng(47)
-        for _ in range(20_000):
-            m = int(rng.integers(3, 120))
-            if rng.random() < 0.5:  # a child of count c in a group of m * c rows
-                c = int(rng.integers(1, 1000))
-                r = c / (m * c)
-                x = r * math.log2(r)
-            else:
-                x = -float(rng.random()) * 2.0 ** int(rng.integers(-60, 60))
-            assert repr(m * x) == repr(math.fsum([x] * m))
+        groups = []
+        for _ in range(5_000):  # m children of count c in a group of m * c rows
+            groups.append([int(rng.integers(1, 1000))] * int(rng.integers(1, 1200)))
+        inner, starts, n_children = self._terms(groups)
+        sums = vcqlab.entropy._group_sums(inner, starts, n_children)
+        for g, group in enumerate(groups):
+            x = inner[starts[g]]
+            assert repr(float(sums[g])) == repr(math.fsum([x] * len(group)))
+
+    def test_integer_and_fsum_routes_equal_fsum(self, monkeypatch):
+        # small groups of close terms fit the int64 sum; large groups of
+        # spread counts fall back to math.fsum
+        rng = np.random.default_rng(59)
+        groups = []
+        for i in range(3_000):
+            width = int(rng.integers(1, [12, 40, 3000][i % 3]))
+            top = int(rng.integers(1, [30, 10**4, 10**6][i % 3]))
+            groups.append(rng.integers(1, top + 1, size=width).tolist())
+        inner, starts, n_children = self._terms(groups)
+        fsum, calls = math.fsum, []
+        monkeypatch.setattr(math, "fsum", lambda terms: calls.append(1) or fsum(terms))
+        sums = vcqlab.entropy._group_sums(inner, starts, n_children)
+        monkeypatch.undo()
+        assert 0 < len(calls) < np.count_nonzero(n_children > 2) / 2
+        for g in range(len(groups)):
+            want = math.fsum(inner[starts[g] : starts[g] + n_children[g]].tolist())
+            assert repr(float(sums[g])) == repr(want)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_shared_multisets_match_oracles(self, seed):
@@ -572,5 +628,55 @@ def test_chain_rule_property():
         profile = analyze(corpus)
         assert repr(profile.joint_bits) == repr(joint)
         assert abs(math.fsum(profile.conditional_bits) - profile.joint_bits) < 1e-9
+
+    check()
+
+
+def test_exact_sum_is_fsum_of_the_expanded_list():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    floats = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300),
+        st.floats(min_value=-1.0, max_value=0.0),  # entropy terms
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0, -0.5]),
+    )
+    repeats = st.one_of(
+        st.integers(1, 40), st.integers(1, 3_000), st.sampled_from([2**21, 2**21 - 1, 2**20 + 3])
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        st.one_of(
+            st.lists(st.tuples(floats, repeats), min_size=1, max_size=6),
+            # one value, and values that are all zero
+            st.tuples(floats, repeats).map(lambda pair: [pair]),
+            st.lists(st.tuples(st.sampled_from([0.0, -0.0]), repeats), min_size=1, max_size=4),
+        )
+    )
+    def check(pairs):
+        values = [x for x, _ in pairs]
+        counts = [m for _, m in pairs]
+        want = math.fsum(itertools.chain.from_iterable([x] * m for x, m in pairs))
+        assert repr(vcqlab.entropy._exact_sum(values, counts)) == repr(want)  # sign of zero too
+
+    check()
+
+
+def test_entropy_from_counts_with_many_repeats_matches_fsum():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        st.lists(
+            st.tuples(st.integers(1, 10**6), st.integers(1, 3_000)), min_size=1, max_size=5
+        )
+    )
+    def check(groups):
+        counts = [c for c, m in groups for _ in range(m)]
+        n = sum(counts)
+        want = -math.fsum([(c / n) * math.log2(c / n) for c in counts])
+        assert repr(entropy_from_counts(counts)) == repr(want)
+        assert repr(entropy_from_counts(np.array(counts[::-1]))) == repr(want)
 
     check()
