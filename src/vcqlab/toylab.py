@@ -109,6 +109,8 @@ class Dataset:
 
 # images rendered together by generate_dataset
 _RENDER_BLOCK = 16
+# multiply-adds per encode GEMM: OpenBLAS threads above 1e6, and idle workers then spin
+_ENCODE_BLOCK = 1 << 18
 
 
 def generate_dataset(spec: SyntheticSpec) -> Dataset:
@@ -174,6 +176,19 @@ def _extract_patches(images: np.ndarray, patch_size: int) -> np.ndarray:
     return patches.reshape(n * g * g, patch_size * patch_size)
 
 
+def _check_tiling(length: int, size: int, patch: int) -> None:
+    """ValueError unless ``length`` patches of side ``patch`` tile one image of side ``size``."""
+    if size % patch or (size // patch) ** 2 != length:
+        raise ValueError(f"L = {length} patches, but (image_size / patch_size)**2 = {(size / patch) ** 2:g}")
+
+
+def _tile_patches(patches: np.ndarray, ids: np.ndarray, patch: int) -> np.ndarray:
+    """Inverse of :func:`_extract_patches`: images of patch rows ``ids`` (n, L), clipped to [0, 1]."""
+    n, g = len(ids), math.isqrt(ids.shape[1])
+    rows = np.clip(patches, 0.0, 1.0).reshape(-1, patch, patch)
+    return rows[ids.reshape(n, g, 1, g), np.arange(patch)[:, None]].reshape(n, g * patch, g * patch)
+
+
 @dataclass
 class LinearEncoder:
     """Fixed linear patch encoder: PCA basis with orthonormal columns.
@@ -188,7 +203,16 @@ class LinearEncoder:
     projection: np.ndarray  # (patch_size**2, dim)
 
     def encode_patches(self, flat: np.ndarray) -> np.ndarray:
-        return (np.asarray(flat, dtype=np.float64) - self.mean) @ self.projection
+        shape = np.shape(flat)[:-1]
+        flat = np.asarray(flat, dtype=np.float64).reshape(-1, self.mean.size)
+        out = np.empty((len(flat), self.dim))
+        # power-of-two blocks start where the kernel's unrolled rows do, and the last takes
+        # a lone final row (numpy would hand it to gemv): the one-shot product's bits
+        rows = max(1, _ENCODE_BLOCK >> (self.projection.size - 1).bit_length())
+        bounds = [*range(0, max(len(flat) - 1, 1), rows), len(flat)]
+        for r0, r1 in zip(bounds, bounds[1:]):
+            np.matmul(flat[r0:r1] - self.mean, self.projection, out=out[r0:r1])
+        return out.reshape(*shape, self.dim)
 
     def decode_patches(self, latents: np.ndarray) -> np.ndarray:
         return np.asarray(latents, dtype=np.float64) @ self.projection.T + self.mean
@@ -202,16 +226,9 @@ class LinearEncoder:
     def decode_images(self, latents: np.ndarray, image_size: int) -> np.ndarray:
         """Inverse of :meth:`encode_images`, clipped back to [0, 1]."""
         n, length, _ = latents.shape
-        g = image_size // self.patch_size
-        if g * g != length:
-            raise ValueError(
-                f"{length} patches do not tile a {image_size}x{image_size} image "
-                f"with patch size {self.patch_size}"
-            )
+        _check_tiling(length, image_size, self.patch_size)
         flat = self.decode_patches(latents.reshape(n * length, self.dim))
-        patches = flat.reshape(n, g, g, self.patch_size, self.patch_size)
-        images = patches.transpose(0, 1, 3, 2, 4).reshape(n, image_size, image_size)
-        return np.clip(images, 0.0, 1.0)
+        return _tile_patches(flat, np.arange(n * length).reshape(n, length), self.patch_size)
 
 
 def fit_encoder(images: np.ndarray, patch_size: int, d: int) -> LinearEncoder:
@@ -277,11 +294,19 @@ def reconstruction_metrics(
     encoder: LinearEncoder,
     codebook: Codebook,
 ) -> tuple[float, float]:
-    """(mse, psnr) of decoding tokens back to pixel space (peak value 1.0)."""
-    images = np.asarray(images, dtype=np.float64)
-    latents = decode(tokens, codebook).astype(np.float64)
-    recon = encoder.decode_images(latents, images.shape[1])
-    mse = float(np.mean((images - recon) ** 2))
+    """(mse, psnr) of tokens decoded to pixel space (peak 1.0); each codebook entry is decoded once."""
+    images, tokens = np.asarray(images, dtype=np.float64), np.asarray(tokens)
+    if tokens.ndim != 2 or len(tokens) != len(images):
+        raise ValueError(f"tokens must hold one row per image ({len(images)}), got shape {tokens.shape}")
+    _check_tiling(tokens.shape[1], images.shape[1], encoder.patch_size)
+    if codebook.dim != encoder.dim:
+        raise ValueError(f"codebook dim {codebook.dim} does not match encoder dim {encoder.dim}")
+    # decode's refusals on the smallest and largest id name the range of every id
+    decode(tokens.flat[[tokens.argmin(), tokens.argmax()]] if tokens.size else tokens, codebook)
+    # two rows at least: numpy hands one row to gemv, which rounds unlike the per-token GEMM
+    table = encoder.decode_patches(np.resize(codebook.entries, (max(codebook.k_max, 2), codebook.dim)))
+    diff = _tile_patches(table, tokens, encoder.patch_size)
+    mse = float(np.mean(np.square(np.subtract(images, diff, out=diff), out=diff)))
     return mse, psnr_from_mse(mse)
 
 

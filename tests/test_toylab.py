@@ -1,15 +1,18 @@
 import inspect
 import json
 import math
+import os
 import re
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vcqlab.quantizer import fit_codebook
+from vcqlab.quantizer import Codebook, decode, fit_codebook
 from vcqlab.schedule import Family, Schedule, codebook_sizes
 from vcqlab.toylab import (
+    _ENCODE_BLOCK,
     SyntheticSpec,
     build_inputs,
     default_experiment_config,
@@ -190,6 +193,58 @@ class TestFitEncoder:
         assert np.allclose(enc.encode_patches(patch), latent, atol=1e-10)
 
 
+def default_inputs():
+    """The default experiment's dataset, encoder and latents (seed 0)."""
+    return build_inputs(load_config(default_experiment_config(0)))
+
+
+def encode_block(encoder):
+    """Rows per encode GEMM: the largest power of two within _ENCODE_BLOCK multiply-adds."""
+    return max(1, _ENCODE_BLOCK >> (encoder.projection.size - 1).bit_length())
+
+
+class TestBlockedEncode:
+    @pytest.mark.parametrize("patch_size, dim", [(2, 1), (2, 3), (4, 2), (4, 6), (4, 8)])
+    def test_equals_one_shot_product(self, rng, patch_size, dim):
+        enc = fit_encoder(rng.uniform(size=(6, 8, 8)), patch_size=patch_size, d=dim)
+        block = encode_block(enc)
+        for rows in (0, 1, 2, block - 1, block, block + 1):
+            flat = rng.uniform(size=(rows, patch_size**2))
+            one_shot = (flat - enc.mean) @ enc.projection
+            got = enc.encode_patches(flat)
+            assert got.shape == one_shot.shape and got.tobytes() == one_shot.tobytes(), rows
+
+    def test_keeps_leading_axes(self, rng):
+        enc = fit_encoder(rng.uniform(size=(6, 8, 8)), patch_size=4, d=6)
+        patches = rng.uniform(size=(3, 5, 16))
+        stacked = enc.encode_patches(patches)
+        assert stacked.shape == (3, 5, 6)
+        assert stacked.tobytes() == enc.encode_patches(patches.reshape(15, 16)).tobytes()
+        vector = enc.encode_patches(patches[0, 0])
+        assert vector.shape == (6,)
+        assert vector.tobytes() == ((patches[0, 0] - enc.mean) @ enc.projection).tobytes()
+
+    def test_default_dataset_equals_one_shot_product(self):
+        # 128,000 rows: the one-shot product is large enough to run on OpenBLAS's threads
+        dataset, enc, latents = default_inputs()
+        flat = dataset.images.reshape(-1, 8, 4, 8, 4).transpose(0, 1, 3, 2, 4).reshape(-1, 16)
+        assert len(flat) > encode_block(enc)
+        assert latents.tobytes() == ((flat - enc.mean) @ enc.projection).tobytes()
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="BLAS runs one thread on one core")
+    def test_no_blas_worker_spins_after_encode_and_reconstruction(self):
+        dataset, enc, latents = default_inputs()
+        sched = Schedule(Family.CONSTANT, 256, 256, 64)
+        cb = Codebook(entries=latents.reshape(-1, enc.dim)[::500].astype(np.float32))
+        corpus = tokenize_dataset(latents, dataset.labels, sched, cb)
+        time.sleep(0.3)  # let the workers of an earlier test's product fall idle
+        enc.encode_images(dataset.images)
+        reconstruction_metrics(dataset.images, corpus.tokens, enc, cb)
+        cpu = time.process_time()
+        time.sleep(0.2)
+        assert time.process_time() - cpu < 0.05
+
+
 class TestTokenizeDataset:
     def _setup(self, rng, k=16):
         spec = SyntheticSpec(n_classes=2, n_per_class=10, image_size=16, seed=5)
@@ -249,6 +304,84 @@ class TestReconstructionMetrics:
         recon = enc.decode_images(recon_latents, 8)
         mse = float(np.mean((data.images[:1] - recon) ** 2))
         assert mse < 1e-9  # float32 codebook storage, not bit-exact
+
+    @staticmethod
+    def per_token_metrics(images, tokens, enc, cb):
+        """The reference: decode every token's latent, then place each patch by index.
+
+        Returns (mse, psnr) and the reconstructed images.
+        """
+        n, size, p = len(images), images.shape[1], enc.patch_size
+        g = size // p
+        patches = enc.decode_patches(decode(tokens, cb).astype(np.float64).reshape(-1, enc.dim))
+        tiled = np.empty((n, size, size))
+        for row, patch in enumerate(patches):
+            image, (i, j) = row // (g * g), divmod(row % (g * g), g)
+            tiled[image, i * p : (i + 1) * p, j * p : (j + 1) * p] = patch.reshape(p, p)
+        recon = np.clip(tiled, 0, 1)
+        mse = float(np.mean((images - recon) ** 2))
+        return (mse, psnr_from_mse(mse)), recon
+
+    @pytest.mark.parametrize(
+        "patch_size, dim, k, used, dtype",
+        [
+            (2, 1, 1, 1, np.uint8),
+            (2, 3, 5, 2, np.uint8),
+            (2, 4, 300, 300, np.uint16),
+            (4, 2, 2, 2, np.uint8),
+            (4, 6, 32, 9, np.uint8),
+            (4, 8, 256, 256, np.uint8),
+            (4, 16, 1000, 700, np.uint16),
+        ],
+    )
+    def test_equals_per_token_decode(self, rng, patch_size, dim, k, used, dtype):
+        images = generate_dataset(SyntheticSpec(n_classes=3, n_per_class=4, image_size=8, seed=k)).images
+        enc = fit_encoder(images, patch_size=patch_size, d=dim)
+        cb = Codebook(entries=rng.normal(0.0, 0.5, size=(k, dim)))
+        # ids below `used` only: the codebook's other entries are never gathered
+        tokens = rng.integers(0, used, size=(len(images), (8 // patch_size) ** 2)).astype(dtype)
+        metrics, recon = self.per_token_metrics(images, tokens, enc, cb)
+        assert repr(reconstruction_metrics(images, tokens, enc, cb)) == repr(metrics)
+        latents = decode(tokens, cb).astype(np.float64)
+        assert enc.decode_images(latents, 8).tobytes() == recon.tobytes()
+
+    def test_default_dataset_equals_per_token_decode(self, rng):
+        dataset, enc, latents = default_inputs()
+        cb = Codebook(entries=latents.reshape(-1, enc.dim)[::500].astype(np.float32))
+        tokens = rng.integers(0, 256, size=(len(dataset.images), 64)).astype(np.uint8)
+        got = reconstruction_metrics(dataset.images, tokens, enc, cb)
+        assert repr(got) == repr(self.per_token_metrics(dataset.images, tokens, enc, cb)[0])
+
+    @pytest.mark.parametrize(
+        "case, error, message",
+        [
+            ("rows", ValueError, "tokens must hold one row per image (8), got shape (5, 4)"),
+            ("flat", ValueError, "tokens must hold one row per image (8), got shape (32,)"),
+            ("length", ValueError, "L = 9 patches, but (image_size / patch_size)**2 = 4"),
+            ("dim", ValueError, "codebook dim 3 does not match encoder dim 4"),
+            ("bool", ValueError, "token ids must be integers, got dtype bool"),
+            ("float", ValueError, "token ids must be integers, got dtype float64"),
+            ("range", IndexError, "token ids must lie in [0, 16), found range [0, 16]"),
+            ("negative", IndexError, "token ids must lie in [0, 16), found range [-1, 3]"),
+        ],
+    )
+    def test_bad_input_refused_before_decoding(self, rng, case, error, message):
+        images = rng.uniform(size=(8, 8, 8))
+        enc = fit_encoder(images, patch_size=4, d=4)
+        cb = Codebook(entries=rng.normal(size=(16, 3 if case == "dim" else 4)))
+        grid = np.arange(32).reshape(8, 4)
+        tokens = {
+            "rows": rng.integers(0, 16, size=(5, 4)),
+            "flat": rng.integers(0, 16, size=32),
+            "length": rng.integers(0, 16, size=(8, 9)),
+            "bool": np.ones((8, 4), dtype=bool),
+            "float": np.ones((8, 4)),
+            "range": grid % 17,
+            "negative": np.where(grid == 5, -1, grid % 4),
+        }.get(case, rng.integers(0, 16, size=(8, 4)))
+        enc.decode_patches = lambda latents: pytest.fail("decoded before the input was checked")
+        with pytest.raises(error, match=re.escape(message)):
+            reconstruction_metrics(images, tokens, enc, cb)
 
     def test_larger_codebook_never_hurts_psnr(self, rng):
         spec = SyntheticSpec(n_classes=4, n_per_class=30, image_size=16, seed=7)
