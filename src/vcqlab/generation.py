@@ -300,8 +300,9 @@ def _contexts(model: CountModel, prefix: np.ndarray, t: int) -> list[tuple[np.nd
 def _runs(table: CountTable, owners: np.ndarray, base: np.ndarray, k_t: int):
     """(owner, token, count) of every pair in the runs [base[i], base[i] + K_t)
     of ``table``, owned by ``owners[i]``; each (owner, token) occurs once."""
-    first = np.searchsorted(table.pairs, base)
-    width = np.searchsorted(table.pairs, base + k_t) - first
+    # one search finds each run's start and end
+    first, end = np.searchsorted(table.pairs, np.concatenate((base, base + k_t))).reshape(2, -1)
+    width = end - first
     # the runs, concatenated
     entries = np.arange(width.sum()) + np.repeat(first - np.cumsum(width) + width, width)
     tokens = table.pairs[entries] - np.repeat(base, width)

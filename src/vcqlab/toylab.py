@@ -109,7 +109,7 @@ class Dataset:
 
 # images rendered together by generate_dataset
 _RENDER_BLOCK = 16
-# multiply-adds per encode GEMM: OpenBLAS threads above 1e6, and idle workers then spin
+# multiply-adds per encode or decode GEMM: OpenBLAS threads above 1e6, and idle workers then spin
 _ENCODE_BLOCK = 1 << 18
 
 
@@ -189,6 +189,21 @@ def _tile_patches(patches: np.ndarray, ids: np.ndarray, patch: int) -> np.ndarra
     return rows[ids.reshape(n, g, 1, g), np.arange(patch)[:, None]].reshape(n, g * patch, g * patch)
 
 
+def _blocked_product(rows: np.ndarray, matrix: np.ndarray, center=0.0) -> np.ndarray:
+    """``(rows - center) @ matrix`` in row blocks of at most ``_ENCODE_BLOCK`` multiply-adds.
+
+    Power-of-two blocks start where the kernel's unrolled rows do, and the
+    last takes a lone final row (numpy would hand it to gemv): the one-shot
+    product's bits, on the calling thread.
+    """
+    out = np.empty((len(rows), matrix.shape[1]))
+    step = max(1, _ENCODE_BLOCK >> (matrix.size - 1).bit_length())
+    bounds = [*range(0, max(len(rows) - 1, 1), step), len(rows)]
+    for r0, r1 in zip(bounds, bounds[1:]):
+        np.matmul(rows[r0:r1] - center, matrix, out=out[r0:r1])
+    return out
+
+
 @dataclass
 class LinearEncoder:
     """Fixed linear patch encoder: PCA basis with orthonormal columns.
@@ -205,14 +220,7 @@ class LinearEncoder:
     def encode_patches(self, flat: np.ndarray) -> np.ndarray:
         shape = np.shape(flat)[:-1]
         flat = np.asarray(flat, dtype=np.float64).reshape(-1, self.mean.size)
-        out = np.empty((len(flat), self.dim))
-        # power-of-two blocks start where the kernel's unrolled rows do, and the last takes
-        # a lone final row (numpy would hand it to gemv): the one-shot product's bits
-        rows = max(1, _ENCODE_BLOCK >> (self.projection.size - 1).bit_length())
-        bounds = [*range(0, max(len(flat) - 1, 1), rows), len(flat)]
-        for r0, r1 in zip(bounds, bounds[1:]):
-            np.matmul(flat[r0:r1] - self.mean, self.projection, out=out[r0:r1])
-        return out.reshape(*shape, self.dim)
+        return _blocked_product(flat, self.projection, self.mean).reshape(*shape, self.dim)
 
     def decode_patches(self, latents: np.ndarray) -> np.ndarray:
         return np.asarray(latents, dtype=np.float64) @ self.projection.T + self.mean
@@ -304,7 +312,9 @@ def reconstruction_metrics(
     # decode's refusals on the smallest and largest id name the range of every id
     decode(tokens.flat[[tokens.argmin(), tokens.argmax()]] if tokens.size else tokens, codebook)
     # two rows at least: numpy hands one row to gemv, which rounds unlike the per-token GEMM
-    table = encoder.decode_patches(np.resize(codebook.entries, (max(codebook.k_max, 2), codebook.dim)))
+    entries = np.resize(codebook.entries, (max(codebook.k_max, 2), codebook.dim)).astype(np.float64)
+    table = _blocked_product(entries, encoder.projection.T)
+    table += encoder.mean
     diff = _tile_patches(table, tokens, encoder.patch_size)
     mse = float(np.mean(np.square(np.subtract(images, diff, out=diff), out=diff)))
     return mse, psnr_from_mse(mse)
@@ -505,6 +515,8 @@ def run_cliff_experiment(config: dict) -> ExperimentReport:
                 tstar_analytic=tstar_vcq(schedule, corpus.n_samples),
             )
         )
+        # only the result outlives the arm: its count model goes before the next arm's fit
+        del model
 
     baseline = next(
         (r for r in report.results if r.schedule.family.value == "constant"), None

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vcqlab import toylab
 from vcqlab.quantizer import Codebook, decode, fit_codebook
 from vcqlab.schedule import Family, Schedule, codebook_sizes
 from vcqlab.toylab import (
@@ -344,6 +345,38 @@ class TestReconstructionMetrics:
         assert repr(reconstruction_metrics(images, tokens, enc, cb)) == repr(metrics)
         latents = decode(tokens, cb).astype(np.float64)
         assert enc.decode_images(latents, 8).tobytes() == recon.tobytes()
+
+    @staticmethod
+    def paper_sized_inputs(rng):
+        """100 images of 32 x 32, 4 x 4 patches, dim 8 and a k_max = 16,384 codebook."""
+        images = rng.uniform(size=(100, 32, 32))
+        enc = fit_encoder(images, patch_size=4, d=8)
+        cb = Codebook(entries=rng.normal(0.0, 0.5, size=(16384, 8)))
+        return images, rng.integers(0, 16384, size=(100, 64)), enc, cb
+
+    def test_paper_sized_table_equals_one_shot_decode(self, rng, monkeypatch):
+        # (16,384 x 8) @ (8 x 16) is 2.1e6 multiply-adds: the one-shot product
+        # runs on OpenBLAS's threads, the blocked table in eight blocks
+        images, tokens, enc, cb = self.paper_sized_inputs(rng)
+        tables = []
+        tile = toylab._tile_patches
+
+        def recorded(table, *args):
+            tables.append(table.copy())
+            return tile(table, *args)
+
+        monkeypatch.setattr(toylab, "_tile_patches", recorded)
+        reconstruction_metrics(images, tokens, enc, cb)
+        assert tables[0].tobytes() == enc.decode_patches(cb.entries).tobytes()
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="BLAS runs one thread on one core")
+    def test_no_blas_worker_spins_after_paper_sized_reconstruction(self, rng):
+        images, tokens, enc, cb = self.paper_sized_inputs(rng)
+        time.sleep(0.3)  # let the workers of an earlier test's product fall idle
+        reconstruction_metrics(images, tokens, enc, cb)
+        cpu = time.process_time()
+        time.sleep(0.2)
+        assert time.process_time() - cpu < 0.05
 
     def test_default_dataset_equals_per_token_decode(self, rng):
         dataset, enc, latents = default_inputs()
