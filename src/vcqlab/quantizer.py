@@ -80,7 +80,7 @@ _UB_FLOOR = 2.0**-510
 _UP = 1.0 + 4 * _UNIT_ROUNDOFF
 _DOWN = 1.0 - 4 * _UNIT_ROUNDOFF
 # Rows per kernel call when fit_codebook rescores the latents of one K_t:
-# bounds the gathered copy of their [z, 1] rows to 2**15 (d+1) floats.
+# bounds the copy of their rows gathered from its columns to 2**15 d floats.
 _CHUNK = 1 << 15
 # Types and ranges of fit_codebook's options, checked by fit_codebook and by
 # the config loader for the codebook section
@@ -128,19 +128,10 @@ def _sqdist(e: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _with_ones(latents: np.ndarray) -> np.ndarray:
-    """Position-major kernel rows [z, 1]: (n, L, d) latents -> (L, n, d+1)."""
-    n, length, d = latents.shape
-    out = np.empty((length, n, d + 1), dtype=np.float64)
-    out[..., :d] = latents.transpose(1, 0, 2)
-    out[..., d] = 1.0
-    return out
-
-
 def _nearest(
-    z1: np.ndarray, entries: np.ndarray, table: np.ndarray, k_t: int
+    z: np.ndarray, entries: np.ndarray, table: np.ndarray, k_t: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index of the nearest of ``entries[:k_t]`` to each row ``[z, 1]`` of ``z1``.
+    """Index of the nearest of ``entries[:k_t]`` to each row of ``z`` (n, d), in any layout.
 
     ``entries`` is the float64 codebook and ``table`` its (d+1, k) score
     matrix ``[-2 E^T; |e|^2]``.  Returns ``(tokens, ub, lb)``: the index
@@ -150,8 +141,10 @@ def _nearest(
     distance |z - e_k| to every other k < k_t.  Rows that were rescanned get
     ``(inf, 0)``.
 
-    Score: one GEMM per block of rows gives the proxy s_k = |e_k|^2 - 2 z.e_k
-    = D_k - |z|^2, where D_k = |z - e_k|^2.  Pick: the proxy's argmin b is
+    Score: one GEMM per block of rows, copied as ``[z, 1]`` into a reused
+    buffer (|z|^2 is read from it too, so no bit depends on the layout of
+    ``z``), gives the proxy s_k = |e_k|^2 - 2 z.e_k = D_k - |z|^2, where
+    D_k = |z - e_k|^2.  Pick: the proxy's argmin b is
     the answer unless another entry's score lies within ``tol`` of it.
     Recheck: rows where one does are rescanned with R over all K_t entries.
 
@@ -195,24 +188,27 @@ def _nearest(
     least ``_UB_FLOOR``: a larger upper bound is still one, and the floor
     lets :func:`fit_codebook`'s pruning test ignore underflow.
     """
-    n, d = z1.shape[0], z1.shape[1] - 1
-    z = z1[:, :d]
-    zz = np.einsum("nd,nd->n", z, z)
-    rho = (np.sqrt(zz) + np.sqrt(table[d, :k_t].max())) ** 2
-    tol = 8 * (d + 2) * (_UNIT_ROUNDOFF * rho + _SMALLEST_SUBNORMAL)
+    n, d = z.shape
+    rows = max(1, _BLOCK // k_t)
+    z1 = np.ones((min(n, rows), d + 1))
+    zz = np.empty(n)
     tokens = np.empty(n, dtype=np.int64)
     lead = np.empty(n)
     runner_up = np.empty(n)
-    rows = max(1, _BLOCK // k_t)
     for r0 in range(0, n, rows):
         r1 = min(n, r0 + rows)
-        scores = z1[r0:r1] @ table[:, :k_t]
+        block = z1[: r1 - r0]
+        block[:, :d] = z[r0:r1]
+        zz[r0:r1] = np.einsum("nd,nd->n", block[:, :d], block[:, :d])
+        scores = block @ table[:, :k_t]
         at = np.arange(r1 - r0)
         best = scores.argmin(axis=1)
         tokens[r0:r1] = best
         lead[r0:r1] = scores[at, best]
         scores[at, best] = np.inf
         runner_up[r0:r1] = scores[at, scores.argmin(axis=1)]
+    rho = (np.sqrt(zz) + np.sqrt(table[d, :k_t].max())) ** 2
+    tol = 8 * (d + 2) * (_UNIT_ROUNDOFF * rho + _SMALLEST_SUBNORMAL)
     ub = np.maximum(np.sqrt(lead + zz + tol) * _UP, _UB_FLOOR)
     lb = np.sqrt(np.maximum(runner_up + zz - tol, 0.0)) * _DOWN
     redo = np.flatnonzero(~(runner_up - lead > tol))
@@ -282,9 +278,10 @@ def quantize_batch(
     """
     latents = _check_latents(latents, schedule, codebook.dim, codebook.k_max)
     entries = codebook.entries[: schedule.k_max].astype(np.float64)
-    z1s, table, sizes = _with_ones(latents), _score_table(entries), codebook_sizes(schedule)
-    tokens = np.stack([_nearest(z1s[t], entries, table, k_t)[0] for t, k_t in enumerate(sizes)], axis=1)
-    return tokens, _sqdist(entries[tokens], latents)
+    table, sizes = _score_table(entries), codebook_sizes(schedule)
+    tokens = np.stack([_nearest(latents[:, t], entries, table, k_t)[0] for t, k_t in enumerate(sizes)], axis=1)
+    distances = [_sqdist(entries[tokens[:, t]], latents[:, t]) for t in range(len(sizes))]
+    return tokens, np.stack(distances, axis=1)
 
 
 def decode(tokens: np.ndarray, codebook: Codebook) -> np.ndarray:
@@ -357,10 +354,10 @@ def fit_codebook(
       rule never comes into play.
 
     Rows still to score are grouped across the positions of each K_t, one
-    kernel call per K_t and chunk of ``_CHUNK`` rows; a row's token does not
-    depend on the batch it is scored in, so the codebook is the same, bit
-    for bit, as with every latent scored every epoch.  The bound state is
-    three arrays of L n values.
+    kernel call per K_t and chunk of ``_CHUNK`` rows of ``columns``, the
+    fit's one copy of the latents; a row's token does not depend on the
+    batch it is scored in, so the codebook is bit for bit that of scoring
+    every latent every epoch.  The bound state is three arrays of L n values.
     """
     latents = _check_latents(latent_corpus, schedule, d, k_max)
     if latents.size == 0:
@@ -376,7 +373,6 @@ def fit_codebook(
     entries = flat[pick].astype(np.float64)
 
     sizes = codebook_sizes(schedule)
-    z1s = _with_ones(latents).reshape(length * n, d + 1)
     # one contiguous position-major column per dimension: a bincount over it
     # adds each entry's latents position by position, row by row
     columns = np.ascontiguousarray(latents.transpose(2, 1, 0)).reshape(d, length * n)
@@ -400,7 +396,7 @@ def fit_codebook(
             idx = np.flatnonzero(stale[r0:r1]) + r0
             for c0 in range(0, idx.size, _CHUNK):
                 chunk = idx[c0 : c0 + _CHUNK]
-                tokens[chunk], ub[chunk], lb[chunk] = _nearest(z1s[chunk], entries, table, k_t)
+                tokens[chunk], ub[chunk], lb[chunk] = _nearest(columns[:, chunk].T, entries, table, k_t)
         counts = np.bincount(tokens, minlength=k_max)
         vecsum = np.stack(
             [np.bincount(tokens, weights=column, minlength=k_max) for column in columns], axis=1

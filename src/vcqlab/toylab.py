@@ -258,7 +258,8 @@ def fit_encoder(images: np.ndarray, patch_size: int, d: int) -> LinearEncoder:
     if patches.shape[0] < d:
         raise ValueError(f"need at least {d} patches, got {patches.shape[0]}")
     mean = patches.mean(axis=0)
-    centered = patches - mean
+    # in place, but never in the caller's images: patches view them at patch_size 1 and image_size
+    centered = np.subtract(patches, mean, out=None if np.may_share_memory(patches, images) else patches)
     cov = centered.T @ centered / max(1, patches.shape[0] - 1)
     _, vecs = np.linalg.eigh(cov)
     proj = vecs[:, ::-1][:, :d].copy()
@@ -410,9 +411,9 @@ def load_config(config: dict) -> dict:
     outside the range the using stage accepts raise ``ValueError`` naming the
     field (:func:`~vcqlab.schedule.check_fields`).  So do the rules that tie
     fields together: ``dataset.image_size`` must be a multiple of
-    ``encoder.patch_size``, ``encoder.dim`` at most ``patch_size**2``, and
+    ``encoder.patch_size``, ``encoder.dim`` at most ``patch_size**2``,
     every arm's ``length`` the number of patches, ``(image_size /
-    patch_size)**2``.
+    patch_size)**2``, and arm names must differ as report file names.
     Returns the checked sections under their own keys: ``dataset`` as a
     :class:`SyntheticSpec`, ``schedules`` (when given) as a list of
     (name, Schedule, GuidancePolicy) arms, and every other section as a dict
@@ -442,8 +443,10 @@ def load_config(config: dict) -> dict:
                     f" = {length}, got {arm['length']}"
                 )
             name = arm.pop("name", arm["family"])
-            if name in (n for n, _, _ in loaded["schedules"]):
-                raise ValueError(f"duplicate schedule name {name!r} in config")
+            if clash := [n for n, _, _ in loaded["schedules"] if _safe_name(n) == _safe_name(name)]:
+                raise ValueError(
+                    f"duplicate report files *_{_safe_name(name)}.* for schedules {clash[0]!r} and {name!r}"
+                )
             schedule = Schedule(**arm)
             policy = GuidancePolicy(schedule, **loaded["policy"])
             loaded["schedules"].append((name, schedule, policy))

@@ -211,9 +211,9 @@ class TestKernelOracle:
         seen = []
         kernel = quantizer._nearest
 
-        def recorded(z1, entries, table, k_t):
-            result = kernel(z1, entries, table, k_t)
-            seen.append((z1[:, :-1].copy(), entries[:k_t].copy(), result[0]))
+        def recorded(z, entries, table, k_t):
+            result = kernel(z, entries, table, k_t)
+            seen.append((np.array(z), entries[:k_t].copy(), result[0]))
             return result
 
         monkeypatch.setattr(quantizer, "_nearest", recorded)
@@ -243,8 +243,7 @@ class TestKernelOracle:
             entries[5] = entries[9]  # an exact tie
             z = np.concatenate([offset_latents(rng, (60, 3), offset, spread), entries[:4]])
             table = quantizer._score_table(entries)
-            z1 = np.concatenate([z, np.ones((len(z), 1))], axis=1)
-            tokens, ub, lb = quantizer._nearest(z1, entries, table, 16)
+            tokens, ub, lb = quantizer._nearest(z, entries, table, 16)
             for row, token, upper, lower in zip(z.tolist(), tokens, ub, lb):
                 sq = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(row, e)) for e in entries.tolist()]
                 if upper == np.inf:
@@ -256,6 +255,41 @@ class TestKernelOracle:
             finite += int(np.isfinite(ub).sum())
             rescanned += int(np.isinf(ub).sum())
         assert finite and rescanned
+
+    def test_kernel_result_independent_of_row_layout(self):
+        # the same rows as a C-contiguous array, a strided position view, a
+        # transposed gather from dimension-major columns and a column-major
+        # slice of them give the same bits
+        rng = np.random.default_rng(9)
+        for offset, spread in ((0.0, 1.0), (1e5, 1e-2)):
+            entries = offset_latents(rng, (40, 5), offset, spread)
+            table = quantizer._score_table(entries)
+            latents = offset_latents(rng, (300, 7, 5), offset, spread)
+            columns = np.ascontiguousarray(latents.transpose(2, 1, 0)).reshape(5, 7 * 300)
+            t = 3
+            layouts = [
+                np.ascontiguousarray(latents[:, t]),
+                latents[:, t],
+                columns[:, t * 300 + np.arange(300)].T,
+                columns[:, t * 300 : (t + 1) * 300].T,
+            ]
+            assert not layouts[1].flags.c_contiguous and layouts[3].strides[0] < layouts[3].strides[1]
+            for k_t in (1, 2, 40):
+                want = quantizer._nearest(layouts[0], entries, table, k_t)
+                for z in layouts[1:]:
+                    got = quantizer._nearest(z, entries, table, k_t)
+                    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_batch_on_strided_latents_equals_contiguous_copy(self, rng):
+        cb = Codebook(entries=rng.normal(size=(32, 4)))
+        sched = Schedule(Family.COSINE, 2, 32, 6)
+        wide = rng.normal(size=(50, 12, 4))
+        view = wide[:, ::2]
+        assert not view.flags.c_contiguous
+        tokens, dists = quantize_batch(view, sched, cb)
+        want_tokens, want_dists = quantize_batch(np.ascontiguousarray(view), sched, cb)
+        assert tokens.tobytes() == want_tokens.tobytes()
+        assert dists.tobytes() == want_dists.tobytes()
 
     def test_fit_equals_reference_loop(self, rng):
         # reference: a per-position loop with exhaustive assignment and

@@ -185,6 +185,16 @@ class TestFitEncoder:
         with pytest.raises(ValueError, match="d must"):
             fit_encoder(rng.uniform(size=(2, 8, 8)), patch_size=4, d=17)
 
+    @pytest.mark.parametrize("patch_size", [1, 4, 8])
+    def test_images_left_unchanged(self, rng, patch_size):
+        # patch_size 1 and patch_size == image_size give patches that are a
+        # view of the images, 4 a copy: centering must not reach the caller's
+        images = rng.uniform(size=(6, 8, 8))
+        assert np.shares_memory(toylab._extract_patches(images, patch_size), images) == (patch_size != 4)
+        before = images.copy()
+        fit_encoder(images, patch_size=patch_size, d=1)
+        assert images.tobytes() == before.tobytes()
+
     def test_span_reconstruction(self, rng):
         images = rng.uniform(size=(10, 8, 8))
         enc = fit_encoder(images, patch_size=4, d=6)
@@ -524,4 +534,14 @@ class TestExperiment:
         cfg = tiny_config(seed=0)
         cfg["schedules"].append(dict(cfg["schedules"][0]))
         with pytest.raises(ValueError, match="duplicate"):
+            run_cliff_experiment(cfg)
+
+    def test_schedule_names_with_one_file_name_rejected(self, monkeypatch):
+        # "arm a" and "arm-a" would both write corpus_arm-a.vcqt and the other
+        # report files: refused by the loader before the dataset is built
+        cfg = tiny_config(seed=0)
+        cfg["schedules"][0]["name"] = "arm a"
+        cfg["schedules"][1]["name"] = "arm-a"
+        monkeypatch.setattr(toylab, "generate_dataset", None)
+        with pytest.raises(ValueError, match="'arm a' and 'arm-a'"):
             run_cliff_experiment(cfg)
