@@ -258,6 +258,10 @@ def cmd_experiment(args) -> int:
         config = _load_json_arg(args.config)
     else:
         config = toylab.default_experiment_config(seed=args.seed or 0)
+    # a report directory that cannot be made is refused before the first stage, not after the last
+    out = Path(args.out)
+    if not (existing := next(p for p in (out, *out.parents) if p.exists())).is_dir():
+        raise ValueError(f"--out {args.out}: {existing} exists and is not a directory")
     report = toylab.run_cliff_experiment(config)
     toylab.write_experiment_report(report, args.out)
     for r in report.results:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -464,62 +465,102 @@ def build_inputs(config: dict) -> tuple[Dataset, LinearEncoder, np.ndarray]:
     return dataset, encoder, latents
 
 
+def _run_arm(loaded: dict, inputs: tuple, index: int) -> ScheduleResult:
+    """Every stage of arm ``index`` of a loaded config over the shared ``inputs``.
+
+    Fit codebook, tokenize, entropy profile, reconstruction, count model,
+    sampling, memorization; only the result outlives the call.
+    """
+    dataset, encoder, latents = inputs
+    name, schedule, policy = loaded["schedules"][index]
+    # analyze's own default applies when the config gives no threshold
+    threshold = {key: loaded[key] for key in ("cliff_threshold",) if key in loaded}
+    codebook = _stage(
+        "fit_codebook",
+        name,
+        lambda: fit_codebook(
+            latents, schedule, k_max=schedule.k_max, d=encoder.dim, **loaded["codebook"]
+        ),
+    )
+    corpus = _stage(
+        "tokenize", name, lambda: tokenize_dataset(latents, dataset.labels, schedule, codebook)
+    )
+    profile = _stage("entropy", name, lambda: analyze(corpus, schedule, **threshold))
+    mse, psnr = _stage(
+        "reconstruction",
+        name,
+        lambda: reconstruction_metrics(dataset.images, corpus.tokens, encoder, codebook),
+    )
+    model = _stage("fit_counts", name, lambda: fit_counts(corpus, schedule, **loaded["model"]))
+    generated = _stage(
+        "generate", name, lambda: sample_corpus(model, policy, **loaded["generation"])
+    )
+    exact, longest = _stage(
+        "memorization", name, lambda: memorization_report(generated, corpus)
+    )
+    return ScheduleResult(
+        name=name,
+        schedule=schedule,
+        codebook=codebook,
+        corpus=corpus,
+        generated=generated,
+        profile=profile,
+        mse=mse,
+        psnr=psnr,
+        exact_match_rate=exact,
+        mean_longest_prefix=longest,
+        tstar_analytic=tstar_vcq(schedule, corpus.n_samples),
+    )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_arm(loaded: dict, index: int) -> ScheduleResult:
+    """:func:`_run_arm` in a pool worker, over shared inputs it rebuilds: they are deterministic."""
+    return _run_arm(loaded, build_inputs(loaded), index)
+
+
 def run_cliff_experiment(config: dict) -> ExperimentReport:
     """Run every schedule arm of ``config`` over one shared dataset/encoder.
 
-    Per schedule: fit codebook, tokenize, entropy profile, reconstruction,
-    count model, sampling, memorization.  Any stage failure aborts with the
-    stage and schedule named.
+    Per schedule, :func:`_run_arm` runs every stage.  This process runs the
+    first arm; with two or more usable CPUs, spawned worker processes run
+    the others side by side, each rebuilding the shared inputs.  Any stage
+    failure aborts with the stage and schedule named, the earliest failing
+    arm's first, and no worker outlives the call.
     """
     loaded = load_config(config)
-    if "schedules" not in loaded:
-        raise ValueError("missing field config.schedules: the experiment runs one arm per schedule")
-    # analyze's own default applies when the config gives no threshold
-    threshold = {key: loaded[key] for key in ("cliff_threshold",) if key in loaded}
-    dataset, encoder, latents = build_inputs(loaded)
+    if not loaded.get("schedules"):
+        problem = "config.schedules is empty" if "schedules" in loaded else "missing field config.schedules"
+        raise ValueError(f"{problem}: the experiment runs one arm per schedule")
+    later = range(1, len(loaded["schedules"]))
+    workers = min(len(later), _usable_cpus() - 1)
+    pool = None
+    if workers > 0:
+        # imported here: the pool's modules would cost every other vcqlab command 15-20 ms and 1.5 MB
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    report = ExperimentReport(config=config)
-    for name, schedule, policy in loaded["schedules"]:
-        codebook = _stage(
-            "fit_codebook",
-            name,
-            lambda: fit_codebook(
-                latents, schedule, k_max=schedule.k_max, d=encoder.dim, **loaded["codebook"]
-            ),
-        )
-        corpus = _stage(
-            "tokenize", name, lambda: tokenize_dataset(latents, dataset.labels, schedule, codebook)
-        )
-        profile = _stage("entropy", name, lambda: analyze(corpus, schedule, **threshold))
-        mse, psnr = _stage(
-            "reconstruction",
-            name,
-            lambda: reconstruction_metrics(dataset.images, corpus.tokens, encoder, codebook),
-        )
-        model = _stage("fit_counts", name, lambda: fit_counts(corpus, schedule, **loaded["model"]))
-        generated = _stage(
-            "generate", name, lambda: sample_corpus(model, policy, **loaded["generation"])
-        )
-        exact, longest = _stage(
-            "memorization", name, lambda: memorization_report(generated, corpus)
-        )
-        report.results.append(
-            ScheduleResult(
-                name=name,
-                schedule=schedule,
-                codebook=codebook,
-                corpus=corpus,
-                generated=generated,
-                profile=profile,
-                mse=mse,
-                psnr=psnr,
-                exact_match_rate=exact,
-                mean_longest_prefix=longest,
-                tstar_analytic=tstar_vcq(schedule, corpus.n_samples),
-            )
-        )
-        # only the result outlives the arm: its count model goes before the next arm's fit
-        del model
+        # spawn, not fork: a child forked once BLAS threads exist can deadlock on their locks
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"))
+    try:
+        pending = [pool.submit(_worker_arm, loaded, i) for i in later] if pool else []
+        inputs = build_inputs(loaded)
+        results = [_run_arm(loaded, inputs, 0)]
+        if pool:
+            results += [future.result() for future in pending]
+        else:
+            results += [_run_arm(loaded, inputs, i) for i in later]
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+
+    report = ExperimentReport(config=config, results=results)
 
     baseline = next(
         (r for r in report.results if r.schedule.family.value == "constant"), None

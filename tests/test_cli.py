@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 
 import pytest
 
@@ -333,6 +334,31 @@ class TestExperimentCommand:
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["taken", "taken/report"])
+    def test_out_not_a_directory_refused_before_any_stage(self, tmp_path, config_file, capsys, monkeypatch, out):
+        (tmp_path / "taken").write_text("a file")
+        monkeypatch.setattr(toylab, "generate_dataset", None)
+        assert main(["experiment", "--config", config_file, "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error: --out" in err and "exists and is not a directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+        assert (tmp_path / "taken").read_text() == "a file"
+
+    def test_parent_arm_failure_named_while_worker_runs(self, tmp_path, config_file, capsys, monkeypatch):
+        # this process runs arm 0 ("constant") and one spawned worker arm 1,
+        # which does not see the patch
+        monkeypatch.setattr(toylab, "_usable_cpus", lambda: 2)
+
+        def refuse(*args, **kwargs):
+            raise ValueError("no codebook here")
+
+        monkeypatch.setattr(toylab, "fit_codebook", refuse)
+        out = tmp_path / "report"
+        assert main(["experiment", "--config", config_file, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error: experiment stage 'fit_codebook' failed for 'constant': no codebook here" in err
+        assert not out.exists() and multiprocessing.active_children() == []
+
     def test_inline_policy_and_schedule_json(self, tmp_path, config_file, capsys):
         # schedule argument can be inline JSON too
         cb = tmp_path / "book.vcqc"
@@ -422,6 +448,15 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "data error" in err and message in err
         assert not out.exists() and stages == []
+
+    def test_empty_schedules_is_data_error(self, tmp_path, capsys, monkeypatch):
+        config = dict(TINY_CONFIG, schedules=[])
+        monkeypatch.setattr(toylab, "generate_dataset", None)
+        out = tmp_path / "report"
+        assert main(["experiment", "--config", json.dumps(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error: config.schedules is empty: the experiment runs one arm per schedule" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [("k_min", 2.9), ("length", True), ("k_max", "32")])
     def test_bad_schedule_field_is_data_error(self, tmp_path, capsys, field, value):

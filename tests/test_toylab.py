@@ -1,6 +1,8 @@
+import concurrent.futures
 import inspect
 import json
 import math
+import multiprocessing
 import os
 import re
 import time
@@ -545,3 +547,70 @@ class TestExperiment:
         monkeypatch.setattr(toylab, "generate_dataset", None)
         with pytest.raises(ValueError, match="'arm a' and 'arm-a'"):
             run_cliff_experiment(cfg)
+
+
+def _refuse_fit(*args, **kwargs):
+    raise ValueError("no codebook here")
+
+
+def _worker_arm_without_fit(loaded, index):
+    """``toylab._worker_arm`` whose codebook fit fails in the worker process only."""
+    toylab.fit_codebook = _refuse_fit
+    return toylab._worker_arm(loaded, index)
+
+
+class TestArmWorkers:
+    """Every arm after the first runs in a spawned worker process when at
+    least two CPUs are usable; ``_usable_cpus`` is patched to pick the path."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        made = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, workers, context):
+                made.append(workers)
+                super().__init__(workers, context)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        return made
+
+    @pytest.mark.parametrize("arms, cpus, workers", [(2, 2, 1), (3, 2, 1), (3, 3, 2), (3, 8, 2)])
+    def test_pool_reports_equal_one_cpu_reports(self, tmp_path, monkeypatch, pools, arms, cpus, workers):
+        cfg = tiny_config(seed=0)
+        cfg["schedules"].append(
+            {"name": "linear", "family": "linear", "k_min": 4, "k_max": 32, "length": 16}
+        )
+        del cfg["schedules"][arms:]
+        for name, n in (("pool", cpus), ("one", 1)):
+            monkeypatch.setattr(toylab, "_usable_cpus", lambda: n)
+            report = run_cliff_experiment(cfg)
+            assert [r.name for r in report.results] == [arm["name"] for arm in cfg["schedules"]]
+            write_experiment_report(report, tmp_path / name)
+        assert pools == [workers] and multiprocessing.active_children() == []
+        files = sorted(p.name for p in (tmp_path / "one").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "pool").iterdir())
+        for name in files:
+            assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
+
+    def test_one_arm_makes_no_pool(self, monkeypatch, pools):
+        cfg = tiny_config(seed=0)
+        del cfg["schedules"][1:]
+        monkeypatch.setattr(toylab, "_usable_cpus", lambda: 2)
+        assert [r.name for r in run_cliff_experiment(cfg).results] == ["constant"]
+        assert pools == []
+
+    @pytest.mark.parametrize(
+        "parent_fails, worker_fails, failed",
+        [(True, False, "constant"), (False, True, "cosine"), (True, True, "constant")],
+    )
+    def test_earliest_failing_arm_named(self, monkeypatch, pools, parent_fails, worker_fails, failed):
+        monkeypatch.setattr(toylab, "_usable_cpus", lambda: 2)
+        if parent_fails:
+            monkeypatch.setattr(toylab, "fit_codebook", _refuse_fit)
+        if worker_fails:
+            monkeypatch.setattr(toylab, "_worker_arm", _worker_arm_without_fit)
+        message = f"experiment stage 'fit_codebook' failed for '{failed}': no codebook here"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            run_cliff_experiment(tiny_config(seed=0))
+        assert pools == [1] and multiprocessing.active_children() == []
