@@ -72,9 +72,9 @@ def _resolve_schedule(value: str) -> Schedule:
     )
 
 
-def _load_json_arg(value: str) -> dict:
-    """Inline JSON object or a path to a JSON file."""
-    if value.lstrip().startswith("{"):
+def _load_json_arg(value: str):
+    """Inline JSON (an object or a list) or a path to a JSON file."""
+    if value.lstrip().startswith(("{", "[")):
         return json.loads(value)
     return json.loads(Path(value).read_text())
 
@@ -292,10 +292,11 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_schedule)
 
     p = sub.add_parser("tstar", help="entropy-cliff positions and data thresholds")
-    p.add_argument("--n", type=int, help="dataset size for a single query")
     p.add_argument("--k", type=int, default=DEFAULT_K)
-    p.add_argument("--thresholds", help="range M..M of target t* values, e.g. 2..5")
-    p.add_argument("--datasets", help='JSON list of [name, N] pairs replacing the built-in table')
+    query = p.add_mutually_exclusive_group()
+    query.add_argument("--n", type=int, help="dataset size for a single query")
+    query.add_argument("--thresholds", help="range M..M of target t* values, e.g. 2..5")
+    query.add_argument("--datasets", help='JSON list of [name, N] pairs replacing the built-in table')
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", help="write the JSON table to this file")
     p.set_defaults(fn=cmd_tstar)

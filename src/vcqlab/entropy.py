@@ -67,10 +67,6 @@ ANALYZE_FIELDS = {"cliff_threshold": "float"}
 ANALYZE_RANGES = {"cliff_threshold": THRESHOLD_RANGE}
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# Columns and bytes of the row-major token slab that _refinement_pass reads
-# before the cliff
-_SLAB_COLUMNS = 8
-_SLAB_BYTES = 1 << 25
 
 
 def entropy_from_counts(counts) -> float:
@@ -226,11 +222,8 @@ def _refinement_pass(tokens: np.ndarray) -> _Sweep:
     ``(c/n) log2(c/n)`` once per distinct c; each group's sum of child
     terms is exactly rounded (:func:`_group_sums`), and the prefix-joint
     and joint sums are :func:`_exact_sum` of the distinct terms with their
-    repeats.  Before the cliff, while the prefix groups average four rows
-    or more, the next ``_SLAB_COLUMNS`` tokens of every surviving row are
-    copied once into a row-major slab of at most ``_SLAB_BYTES``, and each
-    position reads its column from that slab instead of one cache line of
-    ``tokens`` per row; after it, each column is gathered directly.
+    repeats.  Each position gathers its column of the surviving rows
+    directly from ``tokens``.
     """
     n, length = tokens.shape
     rows = np.arange(n)
@@ -238,22 +231,14 @@ def _refinement_pass(tokens: np.ndarray) -> _Sweep:
     n_singletons = 0
     conditional: list[float] = []
     prefix_joint = [0.0]
-    n_groups = 1
-    slab, slab_start = None, 0
     for t in range(length):
         singleton_term = n_singletons * ((1.0 / n) * math.log2(n)) if n_singletons else 0.0
         if not rows.size:
             conditional.append(0.0)
             prefix_joint.append(singleton_term)
             continue
-        if slab is None or t - slab_start == slab.shape[1]:
-            columns = min(_SLAB_COLUMNS, length - t, _SLAB_BYTES // (rows.size * tokens.itemsize))
-            # before the cliff: the rows of prefix groups that average four
-            # rows or more mostly survive the next positions
-            big_groups = rows.size >= 4 * n_groups
-            slab = tokens[rows, t : t + columns] if big_groups and columns > 1 else None
-            slab_start = t
-        column = tokens[rows, t] if slab is None else slab[:, t - slab_start]
+        # a 1-D gather from the column's strided view beats the 2-D index tokens[rows, t]
+        column = tokens[:, t][rows]
         # keys composed with the column's own width keep (group, token) order
         # and stay small enough for refine_groups to count them in place
         width = int(column.max()) + 1
@@ -285,8 +270,6 @@ def _refinement_pass(tokens: np.ndarray) -> _Sweep:
             n_singletons += dropped
             keep = (counts > 1)[inverse]
             rows, gids = rows[keep], gids[keep]
-            slab = None if slab is None else slab[keep]
-        n_groups = counts.size - dropped
     # full-row multiplicities: every group alive after the last position,
     # and one per singleton
     alive = sizes > 1

@@ -8,16 +8,18 @@ monotonically from k_min to k_max:
 with f chosen per family (linear, cosine, power).  The cumulative capacity
 I(t) = sum_{i<t} log2 K_i measures how many bits the first t positions can
 carry, and t* is the position at which a dataset of N samples exhausts that
-budget (I(t) >= log2 N).
+budget (I(t) >= log2 N), found exactly as the first t with
+K_0 * ... * K_{t-1} >= N.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral, Real
@@ -50,10 +52,6 @@ __all__ = [
     "SCHEDULE_REQUIRED",
     "SCHEDULE_RANGES",
 ]
-
-# Positions whose cumulative capacity falls within this many bits of the
-# budget count as reached; guards float rounding at exact powers of K.
-_BUDGET_EPS = 1e-9
 
 
 class Family(str, Enum):
@@ -187,6 +185,12 @@ def check_corpus(corpus, schedule: Schedule):
     return sizes, top
 
 
+def _tstar(sizes: list[int], n_samples: int) -> int:
+    """Smallest t with K_0 * ... * K_{t-1} >= N (that is, I(t) >= log2 N) in exact integers; L+1 if none."""
+    products = itertools.accumulate(sizes, operator.mul, initial=1)
+    return next((t for t, p in enumerate(products) if p >= n_samples), len(sizes) + 1)
+
+
 def tstar_uniform(n_samples: int, k: int) -> int:
     """Smallest t with t * log2 K >= log2 N, i.e. ceil(log2 N / log2 K).
 
@@ -196,15 +200,14 @@ def tstar_uniform(n_samples: int, k: int) -> int:
     """
     n_samples = check_arg(n_samples, "n_samples", "int", at_least(1))
     k = check_arg(k, "k", "int", (lambda v: v >= 2, ">= 2 (log2 K vanishes at K=1)"))
-    t, reach = 0, 1
-    while reach < n_samples:
-        reach *= k
-        t += 1
-    return t
+    # K**t >= 2**t > N at t = N.bit_length()
+    return _tstar([k] * n_samples.bit_length(), n_samples)
 
 
 def data_threshold(k: int, m: int) -> int:
-    """Minimum dataset size K**(m-1) for a uniform codebook to reach t* = m.
+    """Largest dataset size K**(m-1) whose uniform-codebook t* is m - 1.
+
+    One sample more takes t* to m: ``tstar_uniform(K**(m-1) + 1, K) == m``.
 
     Exact arbitrary-precision integer; K**4 already overflows 32-bit and
     brushes against 64-bit for large K.
@@ -248,14 +251,12 @@ def capacity_report(
     n_samples = check_arg(n_samples, "n_samples", "int", at_least(1))
     sizes = codebook_sizes(schedule)
     bits = [math.log2(k) for k in sizes]
-    # I(t), the one capacity computation: tstar_vcq and analyze read it from here
+    # I(t), the one capacity curve: analyze reads it from here
     cumulative = [0.0]
     for b in bits:
         cumulative.append(cumulative[-1] + b)
     log_n = math.log2(n_samples)
     remaining = [max(0.0, log_n - cumulative[t]) for t in range(schedule.length)]
-    # I(t) never decreases, so this is the first t reaching the budget (L+1 if none)
-    tstar = bisect.bisect_left(cumulative, log_n - _BUDGET_EPS)
     return CapacityReport(
         sizes=sizes,
         bits_per_position=bits,
@@ -263,7 +264,7 @@ def capacity_report(
         remaining_budget=remaining,
         mean_codebook=sum(sizes) / len(sizes),
         bpp=cumulative[-1] / pixel_count,
-        tstar_vcq=tstar,
+        tstar_vcq=_tstar(sizes, n_samples),
         n_samples=n_samples,
         pixel_count=pixel_count,
     )

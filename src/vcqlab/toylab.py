@@ -532,7 +532,8 @@ def run_cliff_experiment(config: dict) -> ExperimentReport:
     first arm; with two or more usable CPUs, spawned worker processes run
     the others side by side, each rebuilding the shared inputs.  Any stage
     failure aborts with the stage and schedule named, the earliest failing
-    arm's first, and no worker outlives the call.
+    arm's first, and no worker outlives the call.  A worker that ends without
+    a result raises ``RuntimeError`` naming the earliest arm still pending.
     """
     loaded = load_config(config)
     if not loaded.get("schedules"):
@@ -545,6 +546,7 @@ def run_cliff_experiment(config: dict) -> ExperimentReport:
         # imported here: the pool's modules would cost every other vcqlab command 15-20 ms and 1.5 MB
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         # spawn, not fork: a child forked once BLAS threads exist can deadlock on their locks
         pool = ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"))
@@ -553,7 +555,14 @@ def run_cliff_experiment(config: dict) -> ExperimentReport:
         inputs = build_inputs(loaded)
         results = [_run_arm(loaded, inputs, 0)]
         if pool:
-            results += [future.result() for future in pending]
+            for i, future in zip(later, pending):
+                try:
+                    results.append(future.result())
+                except BrokenProcessPool as exc:
+                    raise RuntimeError(
+                        f"experiment arm '{loaded['schedules'][i][0]}': its worker process ended without"
+                        ' a result: it was killed, or the script lacks an `if __name__ == "__main__":` guard'
+                    ) from exc
         else:
             results += [_run_arm(loaded, inputs, i) for i in later]
     finally:

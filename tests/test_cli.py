@@ -133,6 +133,30 @@ class TestTstarCommand:
         assert f"data error: n_samples must be >= 1, got {n}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "argv, first, second",
+        [
+            (["--n", "5", "--thresholds", "1..2"], "--n", "--thresholds"),
+            (["--n", "5", "--datasets", '[["a", 3]]'], "--n", "--datasets"),
+            (["--thresholds", "1..2", "--datasets", '[["a", 3]]'], "--thresholds", "--datasets"),
+        ],
+    )
+    def test_queries_are_exclusive(self, capsys, argv, first, second):
+        # a second query is refused, not silently dropped
+        assert main(["tstar", *argv]) == 1
+        captured = capsys.readouterr()
+        assert f"argument {second}: not allowed with argument {first}" in captured.err
+        assert captured.out == ""
+
+    def test_tstar_agrees_with_schedule_above_a_power(self, capsys):
+        # N = 16384**3 + 1 needs a fourth token under a constant 16384 codebook
+        n = str(16384**3 + 1)
+        assert main(["tstar", "--n", n, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["tstar"] == 4
+        assert main(["schedule", "--preset", "constant16k", "--n", n, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["tstar_vcq"] == 4
+
+
 class TestPipelineCommands:
     def test_fit_tokenize_analyze_generate_memorization(
         self, tmp_path, config_file, sched_file, capsys
@@ -319,6 +343,22 @@ class TestPipelineCommands:
         assert not (tmp_path / "gen.vcqt").exists()
 
 
+    def test_inline_json_list_policy_is_not_a_path(self, tmp_path, capsys):
+        import numpy as np
+
+        from vcqlab.corpus import TokenCorpus, write_corpus
+
+        corpus = tmp_path / "train.vcqt"
+        write_corpus(TokenCorpus(tokens=np.array([[0, 1], [1, 0]]), k_max=4, labels=[0, 1]), corpus)
+        sched = '{"family": "constant", "k_min": 4, "k_max": 4, "length": 2}'
+        argv = ["generate", "--corpus", str(corpus), "--schedule", sched,
+                "--policy", " []", "--n", "2", "--seed", "0",
+                "--out", str(tmp_path / "gen.vcqt")]
+        assert main(argv) == 2
+        assert "data error: policy must be a JSON object, got []" in capsys.readouterr().err
+        assert not (tmp_path / "gen.vcqt").exists()
+
+
 class TestExperimentCommand:
     def test_experiment_writes_report(self, tmp_path, config_file, capsys):
         out = tmp_path / "report"
@@ -448,6 +488,17 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "data error" in err and message in err
         assert not out.exists() and stages == []
+
+    @pytest.mark.parametrize("command", ["experiment", "fit"])
+    def test_inline_json_list_config_is_not_a_path(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(toylab, "generate_dataset", None)
+        out = tmp_path / "out"
+        argv = [command, "--config", "[]", "--out", str(out)]
+        if command == "fit":
+            argv += ["--schedule", "cosine"]
+        assert main(argv) == 2
+        assert "data error: config must be a JSON object, got []" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_schedules_is_data_error(self, tmp_path, capsys, monkeypatch):
         config = dict(TINY_CONFIG, schedules=[])

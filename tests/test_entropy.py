@@ -321,7 +321,7 @@ def _engine_corpus(kind, seed):
         tokens[:, 2:] = rng.integers(0, k, size=(n, length - 2))
         tokens[:, 2] = rng.permutation(k)[:n] if n <= k else rng.integers(0, k, size=n)
     else:  # "long_groups": groups that outlive several token slabs, and strays
-        length = int(rng.integers(3, 5)) * vcqlab.entropy._SLAB_COLUMNS + int(rng.integers(0, 3))
+        length = int(rng.integers(3, 5)) * 8 + int(rng.integers(0, 3))
         n = min(n, 40)
         base = rng.integers(0, k, size=(max(1, n // 8), length))
         tokens = base[rng.integers(0, len(base), size=n)]
@@ -389,7 +389,7 @@ class TestEngineOracle:
     def test_long_groups_outlive_two_slabs(self):
         # the precondition of the "long_groups" kind: its rows are read across
         # slab boundaries, and some rows leave their group inside a slab
-        columns = vcqlab.entropy._SLAB_COLUMNS
+        columns = 8
         for seed in range(12):
             tokens = _engine_corpus("long_groups", seed).tokens
             _, inverse, counts = np.unique(

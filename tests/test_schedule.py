@@ -183,6 +183,19 @@ class TestDataThreshold:
             m = int(rng.integers(2, 7))
             assert tstar_uniform(data_threshold(k, m) + 1, k) == m
 
+    def test_largest_n_with_tstar_m_minus_one(self):
+        for k in (2, 3, 10, 16384):
+            for m in range(1, 6):
+                assert tstar_uniform(data_threshold(k, m), k) == m - 1
+
+
+def _prefix_products(sizes):
+    """K_0 * ... * K_{t-1} for t = 0 .. L."""
+    products = [1]
+    for k in sizes:
+        products.append(products[-1] * k)
+    return products
+
 
 class TestTstarVcq:
     def test_constant_reduces_to_uniform(self):
@@ -193,6 +206,30 @@ class TestTstarVcq:
             k = int(rng.integers(2, 10**4))
             sched = Schedule(Family.CONSTANT, k, k, 64)
             assert tstar_vcq(sched, n) == tstar_uniform(n, k)
+
+    @pytest.mark.parametrize("k", [2, 3, 10, 256, 16384])
+    def test_constant_equals_uniform_around_powers(self, k):
+        # N = K**t + 1 is where float cumulative bits land within an ulp of log2 N
+        sched = Schedule(Family.CONSTANT, k, k, 64)
+        t = 1
+        while k**t < 2**62:
+            for n in (k**t - 1, k**t, k**t + 1):
+                if n >= 1:
+                    got = tstar_vcq(sched, n)
+                    assert got == tstar_uniform(n, k), (k, n)
+                    assert k**got >= n and (got == 0 or k ** (got - 1) < n), (k, n)
+            assert tstar_vcq(sched, k**t + 1) == t + 1
+            t += 1
+
+    @pytest.mark.parametrize("preset", ["cosine", "linear"])
+    def test_presets_equal_integer_products(self, preset):
+        sched = SCHEDULE_PRESETS[preset]
+        products = _prefix_products(codebook_sizes(sched))
+        cases = {1_281_167} | {p + d for p in products for d in (-1, 0, 1) if p + d >= 1}
+        for n in sorted(cases):
+            want = next((t for t, p in enumerate(products) if p >= n), sched.length + 1)
+            assert tstar_vcq(sched, n) == want, n
+        assert tstar_vcq(sched, products[-1] + 1) == sched.length + 1
 
     def test_linear_imagenet(self):
         assert tstar_vcq(LINEAR, 1_281_167) == 4

@@ -5,6 +5,9 @@ import math
 import multiprocessing
 import os
 import re
+import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -614,3 +617,34 @@ class TestArmWorkers:
         with pytest.raises(RuntimeError, match=re.escape(message)):
             run_cliff_experiment(tiny_config(seed=0))
         assert pools == [1] and multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(toylab._usable_cpus() < 2, reason="one usable CPU runs every arm in-process")
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+    def test_unguarded_script_names_the_guard(self, tmp_path):
+        # a script that runs the experiment at import: the spawned worker
+        # re-imports it as its main module and fails before running its arm
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from vcqlab.toylab import run_cliff_experiment\n"
+            f"run_cliff_experiment({tiny_config(seed=0)!r})\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(toylab.__file__).parents[1]))
+        # a new session: the script's pid is the process group of every process it starts
+        proc = subprocess.Popen(
+            [sys.executable, str(script)], env=env, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        _, stderr = proc.communicate(timeout=300)
+        assert proc.returncode != 0
+        assert "RuntimeError: experiment arm 'cosine': its worker process ended" in stderr
+        assert 'the script lacks an `if __name__ == "__main__":` guard' in stderr
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.1)
+        else:
+            os.killpg(proc.pid, signal.SIGKILL)
+            pytest.fail("a process started by the script outlived it")
