@@ -26,14 +26,12 @@ from .generation import (
     logits,
     memorization_report,
     sample_corpus,
-    sample_sequence,
     size_aware_scale,
 )
 from .quantizer import (
     Codebook,
     decode,
     fit_codebook,
-    quantize_position,
     read_codebook,
     utilization_profile,
     write_codebook,

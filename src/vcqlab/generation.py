@@ -41,9 +41,8 @@ position at a time, and sample i takes its uniforms from its own
 ``numpy.random.default_rng((seed, i))``, one ``random()`` per position, turned
 into a token by inverse CDF (the draw ``Generator.choice(K_t, p=p)`` makes).
 Temperature 0 takes the argmax and draws nothing.  A sample therefore does
-not depend on how many others are drawn with it, and ``sample_sequence``
-with seed (seed, i) reproduces row i.  ``sample_sequence`` draws one
-sequence and is the only sampler that takes label None (the pooled counts).
+not depend on how many others are drawn with it.  Every sample has a class
+label; the pooled (label None) distributions are read through ``logits``.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ __all__ = [
     "apply_guidance",
     "fit_counts",
     "logits",
-    "sample_sequence",
     "sample_corpus",
     "memorization_report",
     "policy_from_json",
@@ -454,36 +452,6 @@ def _sample_rows(
     return out
 
 
-def _check_schedule(model: CountModel, policy: GuidancePolicy) -> None:
-    """Refuse a policy on another schedule: its s_t would come from the wrong K_t."""
-    if policy.schedule != model.schedule:
-        raise ValueError(
-            f"policy schedule {policy.schedule} does not match model schedule {model.schedule}"
-        )
-
-
-def sample_sequence(
-    model: CountModel,
-    label: int | None,
-    policy: GuidancePolicy,
-    seed,
-) -> np.ndarray:
-    """Draw one token sequence with guided, temperature-scaled sampling.
-
-    Every position combines conditional and unconditional logits with the
-    policy's s_t, rescales by temperature, and samples over the K_t valid
-    entries (argmax when temperature is 0).  Position t consumes the t-th
-    ``random()`` of ``default_rng(seed)``.  Equal to row i of
-    ``sample_corpus(..., seed=s)`` for seed (s, i) and that row's label.
-    """
-    _check_schedule(model, policy)
-    scope = _scopes(model, [label])
-    uniforms = None
-    if policy.temperature != 0.0:
-        uniforms = np.random.default_rng(seed).random((1, model.length))
-    return _sample_rows(model, policy, scope, uniforms)[0]
-
-
 # rows sampled together are capped so one (rows, k_max) float array stays
 # near 8 MB however large the codebook
 _BLOCK_ELEMENTS = 1 << 20
@@ -506,7 +474,11 @@ def sample_corpus(
     n_samples, seed = check_fields(
         {"n_samples": n_samples, "seed": seed}, "generation", SAMPLE_FIELDS, ranges=SAMPLE_RANGES
     ).values()
-    _check_schedule(model, policy)
+    # a policy on another schedule would take its s_t from the wrong K_t
+    if policy.schedule != model.schedule:
+        raise ValueError(
+            f"policy schedule {policy.schedule} does not match model schedule {model.schedule}"
+        )
     if labels is None:
         classes = model.classes or [0]
         labels = [classes[i % len(classes)] for i in range(n_samples)]

@@ -6,16 +6,15 @@ position t may select only from the first K_t rows, where K_t comes from a
 squared Euclidean distance with ties broken by lowest index.
 
 Exactness contract: one kernel, :func:`_nearest`, serves
-:func:`quantize_position`, :func:`quantize_batch` and every
-:func:`fit_codebook` epoch.  It returns exactly the token an
-exhaustive scan returns under the reference distance
+:func:`quantize_batch` and every :func:`fit_codebook` epoch.  It returns
+exactly the token an exhaustive scan returns under the reference distance
 ``sum_j (e_j - z_j)**2`` (summed left to right over the d dimensions), with
 the lowest index winning ties, at any offset or scale of the data and under
 any BLAS threading.  Fast scores from one GEMM per block of rows pick the
 candidate; a rigorous floating-point bound sends the rows whose runner-up
 lies within rounding error of it to an exhaustive rescan with the reference
-formula.  Reported distances always come from the reference formula, so
-every entry point returns the same bits for the same latent.
+formula.  Reported distances always come from the reference formula, so a
+latent gets the same token and distance bits in any batch.
 
 :func:`fit_codebook` prunes its assignment passes with Hamerly's bounds: the
 kernel also returns an upper bound on each latent's distance to its entry
@@ -48,7 +47,6 @@ from .schedule import Schedule, at_least, check_corpus, check_fields, codebook_s
 
 __all__ = [
     "Codebook",
-    "quantize_position",
     "quantize_batch",
     "decode",
     "fit_codebook",
@@ -229,23 +227,6 @@ def _score_table(entries: np.ndarray) -> np.ndarray:
     return table
 
 
-def quantize_position(
-    z: np.ndarray, codebook: Codebook, k_t: int
-) -> tuple[int, np.ndarray, float]:
-    """Nearest neighbor of ``z`` among the first ``k_t`` codebook rows.
-
-    Returns (token, codebook row, squared distance); ties go to the lowest
-    index.
-    """
-    if not 1 <= k_t <= codebook.k_max:
-        raise IndexError(f"k_t {k_t} out of range [1, {codebook.k_max}]")
-    # a (d,) latent is a one-position sequence; any other shape fails the batch check
-    one = Schedule("constant", k_t, k_t, 1)
-    tokens, distances = quantize_batch(np.asarray(z)[None, None], one, codebook)
-    token = int(tokens[0, 0])
-    return token, codebook.entries[token].copy(), float(distances[0, 0])
-
-
 def _check_latents(latents, schedule: Schedule, dim: int, k_max: int) -> np.ndarray:
     """``latents`` as a float64 (n, L, d) array, checked before any is scored.
 
@@ -273,8 +254,10 @@ def quantize_batch(
     """Tokens and squared distances for a batch of sequences.
 
     ``latents`` has shape (n, L, d); returns tokens (n, L) and squared
-    distances (n, L), equal bit for bit to :func:`quantize_position` at
-    every position.
+    distances (n, L).  The token at position t is the one an exhaustive
+    scan of the first K_t entries returns, ties to the lowest index, and
+    its distance is the reference ``sum_j (e_j - z_j)**2``, summed left to
+    right.
     """
     latents = _check_latents(latents, schedule, codebook.dim, codebook.k_max)
     entries = codebook.entries[: schedule.k_max].astype(np.float64)

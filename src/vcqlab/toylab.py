@@ -177,12 +177,6 @@ def _extract_patches(images: np.ndarray, patch_size: int) -> np.ndarray:
     return patches.reshape(n * g * g, patch_size * patch_size)
 
 
-def _check_tiling(length: int, size: int, patch: int) -> None:
-    """ValueError unless ``length`` patches of side ``patch`` tile one image of side ``size``."""
-    if size % patch or (size // patch) ** 2 != length:
-        raise ValueError(f"L = {length} patches, but (image_size / patch_size)**2 = {(size / patch) ** 2:g}")
-
-
 def _tile_patches(patches: np.ndarray, ids: np.ndarray, patch: int) -> np.ndarray:
     """Inverse of :func:`_extract_patches`: images of patch rows ``ids`` (n, L), clipped to [0, 1]."""
     n, g = len(ids), math.isqrt(ids.shape[1])
@@ -231,13 +225,6 @@ class LinearEncoder:
         n = images.shape[0]
         flat = _extract_patches(np.asarray(images, dtype=np.float64), self.patch_size)
         return self.encode_patches(flat).reshape(n, -1, self.dim)
-
-    def decode_images(self, latents: np.ndarray, image_size: int) -> np.ndarray:
-        """Inverse of :meth:`encode_images`, clipped back to [0, 1]."""
-        n, length, _ = latents.shape
-        _check_tiling(length, image_size, self.patch_size)
-        flat = self.decode_patches(latents.reshape(n * length, self.dim))
-        return _tile_patches(flat, np.arange(n * length).reshape(n, length), self.patch_size)
 
 
 def fit_encoder(images: np.ndarray, patch_size: int, d: int) -> LinearEncoder:
@@ -308,7 +295,9 @@ def reconstruction_metrics(
     images, tokens = np.asarray(images, dtype=np.float64), np.asarray(tokens)
     if tokens.ndim != 2 or len(tokens) != len(images):
         raise ValueError(f"tokens must hold one row per image ({len(images)}), got shape {tokens.shape}")
-    _check_tiling(tokens.shape[1], images.shape[1], encoder.patch_size)
+    size, patch, length = images.shape[1], encoder.patch_size, tokens.shape[1]
+    if size % patch or (size // patch) ** 2 != length:
+        raise ValueError(f"L = {length} patches, but (image_size / patch_size)**2 = {(size / patch) ** 2:g}")
     if codebook.dim != encoder.dim:
         raise ValueError(f"codebook dim {codebook.dim} does not match encoder dim {encoder.dim}")
     # decode's refusals on the smallest and largest id name the range of every id

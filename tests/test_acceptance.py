@@ -28,7 +28,7 @@ from vcqlab.generation import (
     logits,
     size_aware_scale,
 )
-from vcqlab.quantizer import Codebook, quantize_position
+from vcqlab.quantizer import Codebook, quantize_batch
 from vcqlab.schedule import (
     SCHEDULE_PRESETS,
     Family,
@@ -190,7 +190,8 @@ def test_criterion_5_quantizer_oracle(capsys):
         cb = Codebook(entries=entries)
         z = entries[rng.integers(0, k)].astype(np.float64) if cases % 4 == 0 else rng.normal(size=d)
         for k_t in range(1, k + 1):
-            token, _, dist = quantize_position(z, cb, k_t)
+            tokens, dists = quantize_batch(z[None, None], Schedule("constant", k_t, k_t, 1), cb)
+            token, dist = tokens[0, 0], dists[0, 0]
             oracle_i, oracle_d = _exhaustive_nearest(z, cb.entries, k_t)
             if token != oracle_i or abs(dist - oracle_d) > 1e-9 * max(1.0, oracle_d):
                 mismatches += 1

@@ -5,6 +5,7 @@ import importlib
 import math
 import pkgutil
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,22 @@ def test_every_export_exists_and_star_import_works(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_readme_module_table_names_exist():
+    # a file extension such as `.vcqc` names no attribute, and a call such as
+    # `prop1_bounds(schedule, N)` names the function it calls
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(vcqlab\.\w+)` \| (.*) \|$", readme, re.MULTILINE)
+    assert rows, "README has no module table"
+    missing = []
+    for module, contents in rows:
+        for span in re.findall(r"`([^`]+)`", contents):
+            call = re.fullmatch(r"(\w+)(\(.*\))?", span)
+            name = call.group(1) if call else span
+            if not span.startswith(".") and not hasattr(importlib.import_module(module), name):
+                missing.append(f"{module}: {span}")
+    assert missing == []
 
 
 CORPUS = random_corpus(0, 12, 3, 4, labelled=True)

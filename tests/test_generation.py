@@ -23,7 +23,6 @@ from vcqlab.generation import (
     memorization_report,
     policy_from_json,
     sample_corpus,
-    sample_sequence,
     size_aware_scale,
 )
 from vcqlab.schedule import Family, Schedule, codebook_sizes
@@ -468,7 +467,7 @@ class TestLogits:
         with pytest.raises(ValueError, match=re.escape(f"class ids must be integers, got {label!r}")):
             logits(model, label, [0], 1)
         with pytest.raises(ValueError, match=re.escape(f"class ids must be integers, got {label!r}")):
-            sample_sequence(model, label, GuidancePolicy(schedule=sched), seed=0)
+            sample_corpus(model, GuidancePolicy(schedule=sched), n_samples=1, seed=0, labels=[label])
 
     @pytest.mark.parametrize("token", [1.7, 1.0, True, np.float64(1.0)])
     def test_non_integer_prefix_token_refused(self, token):
@@ -497,7 +496,7 @@ class TestSampling:
         corpus = make_corpus([row], 8, [0])
         model = fit_counts(corpus, sched)
         policy = GuidancePolicy(schedule=sched, scale=0.0, temperature=0.0)
-        out = sample_sequence(model, 0, policy, seed=0)
+        out = sample_corpus(model, policy, n_samples=1, seed=0, labels=[0]).tokens[0]
         assert list(out) == row
 
     def test_support_restriction_all_positions(self):
@@ -509,7 +508,7 @@ class TestSampling:
         model = fit_counts(corpus, sched)
         policy = GuidancePolicy(schedule=sched, scale=2.0, size_aware=True, temperature=1.3)
         for seed in range(10):
-            out = sample_sequence(model, 0, policy, seed=seed)
+            out = sample_corpus(model, policy, n_samples=1, seed=seed, labels=[0]).tokens[0]
             assert all(out[t] < sizes[t] for t in range(12))
 
     def test_deterministic_given_seed(self):
@@ -570,7 +569,7 @@ class TestSampling:
         with pytest.raises(ValueError, match="does not match model schedule"):
             sample_corpus(model, policy, n_samples=4, seed=0)
         with pytest.raises(ValueError, match="does not match model schedule"):
-            sample_sequence(model, 0, policy, seed=0)
+            sample_corpus(model, policy, n_samples=1, seed=0, labels=[0])
         sample_corpus(model, dataclasses.replace(policy, schedule=fitted), n_samples=4, seed=0)
 
     def test_first_token_distribution_chi_squared(self):
@@ -670,8 +669,7 @@ class TestSamplerOracle:
             assert backs_off == (alpha > 1e-200)
         zeros = {label: 0 for label in (*expected_labels, None)}  # -inf logits per scope
         for i, label in enumerate(expected_labels):
-            row = sample_sequence(model, label, policy, (seed, i))
-            assert np.array_equal(row, expected[i])
+            row = expected[i]
             for t in range(sched.length):
                 for cls in (label, None):
                     ref = reference_logits(

@@ -12,7 +12,6 @@ from vcqlab.quantizer import (
     decode,
     fit_codebook,
     quantize_batch,
-    quantize_position,
     read_codebook,
     utilization_profile,
     write_codebook,
@@ -33,18 +32,30 @@ def exhaustive_nearest(z, entries, k_t):
     return best_i, best_d
 
 
+def quantize_one(latents, sched, cb):
+    """Tokens and distances of one L x d sequence: a batch of one."""
+    tokens, distances = quantize_batch(np.asarray(latents)[None], sched, cb)
+    return tokens[0], distances[0]
+
+
+def quantize_latent(z, cb, k_t):
+    """Token and distance of one latent among the first k_t rows: a 1 x 1 batch."""
+    tokens, distances = quantize_batch(np.asarray(z)[None, None], Schedule("constant", k_t, k_t, 1), cb)
+    return int(tokens[0, 0]), float(distances[0, 0])
+
+
 class TestQuantizePosition:
     def test_exact_row_match(self, rng):
         cb = Codebook(entries=rng.normal(size=(16, 4)))
-        token, row, dist = quantize_position(cb.entries[5].astype(np.float64), cb, 8)
+        token, dist = quantize_latent(cb.entries[5].astype(np.float64), cb, 8)
         assert token == 5
-        assert np.array_equal(row, cb.entries[5])
+        assert np.array_equal(decode(token, cb), cb.entries[5])
         assert dist == 0.0
 
     def test_single_candidate(self, rng):
         cb = Codebook(entries=rng.normal(size=(4, 3)))
         z = rng.normal(size=3)
-        token, row, dist = quantize_position(z, cb, 1)
+        token, dist = quantize_latent(z, cb, 1)
         assert token == 0
         expected = float(np.sum((z - cb.entries[0].astype(np.float64)) ** 2))
         assert dist == pytest.approx(expected, rel=1e-12)
@@ -56,7 +67,7 @@ class TestQuantizePosition:
             cb = Codebook(entries=rng.normal(size=(k, d)))
             z = rng.normal(size=d)
             k_t = int(rng.integers(1, k + 1))
-            token, _, dist = quantize_position(z, cb, k_t)
+            token, dist = quantize_latent(z, cb, k_t)
             oracle_i, oracle_d = exhaustive_nearest(z, cb.entries, k_t)
             assert token == oracle_i
             assert dist == pytest.approx(oracle_d, rel=1e-9, abs=1e-12)
@@ -66,33 +77,20 @@ class TestQuantizePosition:
         entries[6] = entries[2]  # duplicate row: indices 2 and 6 tie
         cb = Codebook(entries=entries)
         z = entries[2].astype(np.float64)
-        token, _, dist = quantize_position(z, cb, 8)
+        token, dist = quantize_latent(z, cb, 8)
         assert token == 2 and dist == 0.0
-
-    def test_k_t_out_of_range(self, rng):
-        cb = Codebook(entries=rng.normal(size=(4, 2)))
-        with pytest.raises(IndexError):
-            quantize_position(np.zeros(2), cb, 0)
-        with pytest.raises(IndexError):
-            quantize_position(np.zeros(2), cb, 5)
 
     def test_non_finite_rejected(self, rng):
         cb = Codebook(entries=rng.normal(size=(4, 2)))
         with pytest.raises(ValueError, match="finite"):
-            quantize_position(np.array([np.nan, 0.0]), cb, 2)
+            quantize_latent(np.array([np.nan, 0.0]), cb, 2)
 
     def test_monotone_distortion(self, rng):
         cb = Codebook(entries=rng.normal(size=(32, 5)))
         for _ in range(50):
             z = rng.normal(size=5)
-            dists = [quantize_position(z, cb, k)[2] for k in range(1, 33)]
+            dists = [quantize_latent(z, cb, k)[1] for k in range(1, 33)]
             assert all(a >= b for a, b in zip(dists, dists[1:]))
-
-
-def quantize_one(latents, sched, cb):
-    """Tokens and distances of one L x d sequence: a batch of one."""
-    tokens, distances = quantize_batch(np.asarray(latents)[None], sched, cb)
-    return tokens[0], distances[0]
 
 
 class TestQuantizeSequence:
@@ -110,9 +108,8 @@ class TestQuantizeSequence:
         latents = rng.normal(size=(12, 4))
         tokens, distances = quantize_one(latents, sched, cb)
         for t in range(12):
-            token, row, dist = quantize_position(latents[t], cb, 32)
+            token, dist = exhaustive_nearest(latents[t], cb.entries, 32)
             assert tokens[t] == token
-            assert np.array_equal(decode(tokens[t], cb), row)
             assert distances[t] == dist
 
     def test_prefix_restriction_random_schedules(self, rng):
