@@ -43,7 +43,9 @@ import numpy as np
 
 from .corpus import TokenCorpus, atomic_write
 from .quantizer import utilization_profile
-from .schedule import Family, Schedule, at_least, capacity_report, check_arg, check_fields
+from .schedule import (
+    Family, Schedule, _remaining_bits, at_least, capacity_report, check_arg, check_fields
+)
 
 __all__ = [
     "EntropyProfile",
@@ -307,15 +309,16 @@ def prop1_bounds(schedule: Schedule, n_samples: int) -> list[float]:
     """Proposition 1's data-free bound ``max(0, log2 N - i * log2 k_max)``.
 
     One value per 0-based index i (the bound's 1-based position t is i+1),
-    with K taken as the schedule's k_max.  The bound presumes that earlier
-    positions saturate their capacity, so a corpus with a constant early
-    position can exceed it; :func:`analyze` pairs it with the exact bound,
-    which never can.
+    with K taken as the schedule's k_max; 0.0 exactly when K**i >= N.  The
+    bound presumes that earlier positions saturate their capacity, so a
+    corpus with a constant early position can exceed it; :func:`analyze`
+    pairs it with the exact bound, which never can.
     """
     n_samples = check_arg(n_samples, "n_samples", "int", at_least(1))
     log_n = math.log2(n_samples)
     log_k = math.log2(schedule.k_max)
-    return [max(0.0, log_n - i * log_k) for i in range(schedule.length)]
+    sizes = [schedule.k_max] * schedule.length
+    return _remaining_bits(sizes, n_samples, [log_n - i * log_k for i in range(schedule.length)])
 
 
 def cliff_position(profile: list[float], threshold: float = 1.0) -> int:

@@ -36,6 +36,8 @@ Codebook files are little-endian binary:
 
 from __future__ import annotations
 
+import math
+import mmap
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,6 +82,9 @@ _DOWN = 1.0 - 4 * _UNIT_ROUNDOFF
 # Rows per kernel call when fit_codebook rescores the latents of one K_t:
 # bounds the copy of their rows gathered from its columns to 2**15 d floats.
 _CHUNK = 1 << 15
+# Float64 arrays of at least this many bytes that _mapped_empty backs by their
+# own anonymous mapping.
+_MAPPED_BYTES = 1 << 20
 # Types and ranges of fit_codebook's options, checked by fit_codebook and by
 # the config loader for the codebook section
 FIT_FIELDS = {"epochs": "int", "decay": "float", "seed": "int"}
@@ -88,6 +93,23 @@ FIT_RANGES = {
     "decay": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     "seed": at_least(0),
 }
+
+
+def _mapped_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """``np.empty(shape)`` of float64, in its own anonymous mapping from ``_MAPPED_BYTES`` on.
+
+    For the arrays the pipeline derives from an image stack: the encoder's
+    centered patch copy, the latents and the fit's columns.  A mapping goes
+    back to the system as soon as the array is freed.  Through malloc, the
+    first of them freed raises glibc's mmap threshold to its size, so the
+    later ones are carved from the heap among the small buffers numpy keeps
+    cached, and the resident peak of a process that builds the inputs again
+    would hang on where those buffers happened to fall.
+    """
+    count = math.prod(shape)
+    if count * 8 < _MAPPED_BYTES:
+        return np.empty(shape)
+    return np.frombuffer(mmap.mmap(-1, count * 8), dtype=np.float64).reshape(shape)
 
 
 @dataclass
@@ -243,7 +265,8 @@ def _check_latents(latents, schedule: Schedule, dim: int, k_max: int) -> np.ndar
         raise ValueError(f"latent dim {latents.shape[2]} does not match codebook dim {dim}")
     if schedule.k_max > k_max:
         raise ValueError(f"schedule k_max {schedule.k_max} exceeds codebook size {k_max}")
-    if not np.all(np.isfinite(latents)):
+    # the extremes, not a latent-sized isfinite mask: a NaN propagates to both
+    if latents.size and not (np.isfinite(latents.min()) and np.isfinite(latents.max())):
         raise ValueError("latents contain non-finite values")
     return latents
 
@@ -358,7 +381,8 @@ def fit_codebook(
     sizes = codebook_sizes(schedule)
     # one contiguous position-major column per dimension: a bincount over it
     # adds each entry's latents position by position, row by row
-    columns = np.ascontiguousarray(latents.transpose(2, 1, 0)).reshape(d, length * n)
+    columns = _mapped_empty((d, length * n))
+    np.copyto(columns.reshape(d, length, n), latents.transpose(2, 1, 0))
     ema_size = np.zeros(k_max, dtype=np.float64)
     ema_sum = np.zeros((k_max, d), dtype=np.float64)
 

@@ -191,6 +191,27 @@ def _tstar(sizes: list[int], n_samples: int) -> int:
     return next((t for t, p in enumerate(products) if p >= n_samples), len(sizes) + 1)
 
 
+def _remaining_bits(sizes: list[int], n_samples: int, estimates) -> list[float]:
+    """``max(0, log2 N - log2(K_0 * ... * K_{t-1}))`` per t, signed exactly, from float ``estimates``.
+
+    Float rounding can leave an estimate above 0 where the product already
+    reaches N, or at or below 0 where it falls short (``math.log2`` of an int
+    above 2**53 rounds it first).  The result is 0.0 exactly from t* on and
+    positive before it; an estimate whose sign is right keeps its bits.
+    """
+    tstar = _tstar(sizes, n_samples)
+    out = []
+    for t, bits in enumerate(estimates):
+        if t >= tstar:
+            bits = 0.0
+        elif bits <= 0.0:
+            # log2(N / P) from the exact gap N - P, at least the least positive float
+            p = math.prod(sizes[:t])
+            bits = max(math.log1p((n_samples - p) / p) / math.log(2), math.ulp(0.0))
+        out.append(bits)
+    return out
+
+
 def tstar_uniform(n_samples: int, k: int) -> int:
     """Smallest t with t * log2 K >= log2 N, i.e. ceil(log2 N / log2 K).
 
@@ -229,7 +250,8 @@ class CapacityReport:
     ``cumulative`` has L+1 entries with cumulative[t] = I(t), so
     cumulative[0] = 0 and cumulative[L] is the total bit budget.
     ``remaining_budget[t]`` = max(0, log2 N - I(t)), the unspent bits before
-    position t is consumed.
+    position t is consumed: 0.0 exactly when K_0 * ... * K_{t-1} >= N, that
+    is from t* on, and positive before.
     """
 
     sizes: list[int]
@@ -256,7 +278,7 @@ def capacity_report(
     for b in bits:
         cumulative.append(cumulative[-1] + b)
     log_n = math.log2(n_samples)
-    remaining = [max(0.0, log_n - cumulative[t]) for t in range(schedule.length)]
+    remaining = _remaining_bits(sizes, n_samples, [log_n - c for c in cumulative[:-1]])
     return CapacityReport(
         sizes=sizes,
         bits_per_position=bits,

@@ -33,7 +33,14 @@ from .generation import (
     sample_corpus,
 )
 from .quantizer import (
-    FIT_FIELDS, FIT_RANGES, Codebook, decode, fit_codebook, quantize_batch, write_codebook
+    FIT_FIELDS,
+    FIT_RANGES,
+    Codebook,
+    _mapped_empty,
+    decode,
+    fit_codebook,
+    quantize_batch,
+    write_codebook,
 )
 from .schedule import (
     SCHEDULE_FIELDS,
@@ -112,6 +119,8 @@ class Dataset:
 _RENDER_BLOCK = 16
 # multiply-adds per encode or decode GEMM: OpenBLAS threads above 1e6, and idle workers then spin
 _ENCODE_BLOCK = 1 << 18
+# values per block of the squared reconstruction error; at least numpy's 128-value pairwise leaf
+_SUM_LEAF = 1 << 17
 
 
 def generate_dataset(spec: SyntheticSpec) -> Dataset:
@@ -164,38 +173,72 @@ def generate_dataset(spec: SyntheticSpec) -> Dataset:
     return Dataset(images=images, labels=labels, spec=spec)
 
 
-def _extract_patches(images: np.ndarray, patch_size: int) -> np.ndarray:
-    """Raster-order patches, flattened: (n_images * L, patch_size**2)."""
-    n, s, s2 = images.shape
-    if s != s2:
-        raise ValueError(f"images must be square, got {images.shape}")
+def _image_side(images: np.ndarray) -> int:
+    """Side s >= 1 of an (n, s, s) image stack; ``ValueError`` naming the shape of anything else."""
+    if images.ndim != 3 or images.shape[1] != images.shape[2] or images.shape[1] == 0:
+        raise ValueError(f"images must be an (n, s, s) stack of square images, got shape {images.shape}")
+    return images.shape[1]
+
+
+def _patch_grid(images: np.ndarray, patch_size: int) -> np.ndarray:
+    """Raster-order patches of an (n, s, s) stack as an (n * g, g, p, p) array, g = s / p.
+
+    Row r of the patch matrix is ``grid[r // g, r % g]``; for a C-contiguous
+    stack the grid is a view, as image and patch row share one stride.
+    """
+    n, s = len(images), _image_side(images)
     if s % patch_size != 0:
         raise ValueError(f"image size {s} not divisible by patch size {patch_size}")
     g = s // patch_size
-    patches = images.reshape(n, g, patch_size, g, patch_size)
-    patches = patches.transpose(0, 1, 3, 2, 4).reshape(n, g * g, patch_size * patch_size)
-    return patches.reshape(n * g * g, patch_size * patch_size)
+    grid = images.reshape(n, g, patch_size, g, patch_size).transpose(0, 1, 3, 2, 4)
+    return grid.reshape(n * g, g, patch_size, patch_size)
 
 
-def _tile_patches(patches: np.ndarray, ids: np.ndarray, patch: int) -> np.ndarray:
-    """Inverse of :func:`_extract_patches`: images of patch rows ``ids`` (n, L), clipped to [0, 1]."""
-    n, g = len(ids), math.isqrt(ids.shape[1])
-    rows = np.clip(patches, 0.0, 1.0).reshape(-1, patch, patch)
-    return rows[ids.reshape(n, g, 1, g), np.arange(patch)[:, None]].reshape(n, g * patch, g * patch)
+def _extract_patches(images: np.ndarray, patch_size: int) -> np.ndarray:
+    """Raster-order patches, flattened: (n_images * L, patch_size**2)."""
+    return _patch_grid(images, patch_size).reshape(-1, patch_size * patch_size)
+
+
+def _tile_patches(table: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_extract_patches`: the images of (K, p, p) ``table`` rows ``ids`` (n, L), in ``out``."""
+    n, g, p = len(ids), math.isqrt(ids.shape[1]), table.shape[1]
+    # pixel row y of patch k is row k * p + y of the table; every id is already checked, and
+    # mode "clip" writes straight into out, where "raise" would buffer the whole result
+    rows = ids.reshape(n, g, 1, g).astype(np.intp) * p + np.arange(p)[:, None]
+    np.take(table.reshape(-1, p), rows, axis=0, out=out.reshape(n, g, p, g, p), mode="clip")
+    return out
 
 
 def _blocked_product(rows: np.ndarray, matrix: np.ndarray, center=0.0) -> np.ndarray:
     """``(rows - center) @ matrix`` in row blocks of at most ``_ENCODE_BLOCK`` multiply-adds.
 
+    ``rows`` is an (a, b, ...) stack of a * b rows, each the trailing axes,
+    such as :func:`_patch_grid`'s view of an image stack: every block is
+    centered into one reused buffer, so the whole row matrix is never made.
     Power-of-two blocks start where the kernel's unrolled rows do, and the
     last takes a lone final row (numpy would hand it to gemv): the one-shot
     product's bits, on the calling thread.
     """
-    out = np.empty((len(rows), matrix.shape[1]))
+    b, tail = rows.shape[1], rows.shape[2:]
+    m = len(rows) * b
+    out = _mapped_empty((m, matrix.shape[1]))
     step = max(1, _ENCODE_BLOCK >> (matrix.size - 1).bit_length())
-    bounds = [*range(0, max(len(rows) - 1, 1), step), len(rows)]
+    bounds = [*range(0, max(m - 1, 1), step), m]
+    buffer = np.empty((min(m, step + 1), *tail))
     for r0, r1 in zip(bounds, bounds[1:]):
-        np.matmul(rows[r0:r1] - center, matrix, out=out[r0:r1])
+        block = buffer[: r1 - r0]
+        # whole runs of b rows in one call, the partial runs at either end on their own
+        head = min(r1, -(-r0 // b) * b)
+        foot = max(head, r1 // b * b)
+        whole = block[head - r0 : foot - r0].reshape((foot - head) // b, b, *tail)
+        np.copyto(whole, rows[head // b : foot // b])
+        for lo, hi in ((r0, head), (foot, r1)):
+            if lo < hi:
+                q = lo // b
+                np.copyto(block[lo - r0 : hi - r0], rows[q, lo - q * b : hi - q * b])
+        # copied, then centered in place: a strided copy is faster than a strided subtract
+        block -= center
+        np.matmul(block.reshape(r1 - r0, matrix.shape[0]), matrix, out=out[r0:r1])
     return out
 
 
@@ -214,17 +257,18 @@ class LinearEncoder:
 
     def encode_patches(self, flat: np.ndarray) -> np.ndarray:
         shape = np.shape(flat)[:-1]
-        flat = np.asarray(flat, dtype=np.float64).reshape(-1, self.mean.size)
+        flat = np.asarray(flat, dtype=np.float64).reshape(-1, 1, self.mean.size)
         return _blocked_product(flat, self.projection, self.mean).reshape(*shape, self.dim)
 
     def decode_patches(self, latents: np.ndarray) -> np.ndarray:
         return np.asarray(latents, dtype=np.float64) @ self.projection.T + self.mean
 
     def encode_images(self, images: np.ndarray) -> np.ndarray:
-        """(n, s, s) images -> (n, L, dim) latents in raster patch order."""
-        n = images.shape[0]
-        flat = _extract_patches(np.asarray(images, dtype=np.float64), self.patch_size)
-        return self.encode_patches(flat).reshape(n, -1, self.dim)
+        """(n, s, s) images -> (n, L, dim) latents in raster patch order, read from the images in place."""
+        images = np.asarray(images, dtype=np.float64)
+        grid = _patch_grid(images, self.patch_size)
+        latents = _blocked_product(grid, self.projection, self.mean.reshape(grid.shape[2:]))
+        return latents.reshape(len(images), grid.shape[1] ** 2, self.dim)
 
 
 def fit_encoder(images: np.ndarray, patch_size: int, d: int) -> LinearEncoder:
@@ -237,18 +281,21 @@ def fit_encoder(images: np.ndarray, patch_size: int, d: int) -> LinearEncoder:
         {"patch_size": patch_size, "dim": d}, "encoder", ENCODER_FIELDS, ranges=ENCODER_RANGES
     ).values()
     images = np.asarray(images, dtype=np.float64)
-    patches = _extract_patches(images, patch_size)
+    grid = _patch_grid(images, patch_size)
     if d > patch_size * patch_size:
         raise ValueError(
             f"d must lie in [1, {patch_size * patch_size}] for {patch_size}x{patch_size} "
             f"patches, got {d}"
         )
-    if patches.shape[0] < d:
-        raise ValueError(f"need at least {d} patches, got {patches.shape[0]}")
+    rows = grid.shape[0] * grid.shape[1]
+    if rows < d:
+        raise ValueError(f"need at least {d} patches, got {rows}")
+    # the one copy of the patch matrix, centered in place
+    patches = _mapped_empty((rows, patch_size * patch_size))
+    np.copyto(patches.reshape(grid.shape), grid)
     mean = patches.mean(axis=0)
-    # in place, but never in the caller's images: patches view them at patch_size 1 and image_size
-    centered = np.subtract(patches, mean, out=None if np.may_share_memory(patches, images) else patches)
-    cov = centered.T @ centered / max(1, patches.shape[0] - 1)
+    patches -= mean
+    cov = patches.T @ patches / max(1, rows - 1)
     _, vecs = np.linalg.eigh(cov)
     proj = vecs[:, ::-1][:, :d].copy()
     for j in range(d):
@@ -276,6 +323,24 @@ def tokenize_dataset(
     return TokenCorpus(tokens=tokens, k_max=codebook.k_max, labels=labels)
 
 
+def _pairwise_sum(count: int, block_sum) -> float:
+    """``np.add.reduce`` of ``count`` contiguous float64 values, bit for bit, in blocks.
+
+    numpy adds a contiguous run pairwise: a run of more than 128 values is
+    split at half its length rounded down to a multiple of 8 and the two sums
+    added.  Taking the same splits down to runs of at most ``_SUM_LEAF``
+    values, each summed by ``block_sum(lo, hi)`` through ``np.add.reduce``,
+    reproduces the whole sum's bits.
+    """
+    def node(lo: int, n: int) -> float:
+        if n <= _SUM_LEAF:
+            return block_sum(lo, lo + n)
+        half = n // 2 - n // 2 % 8
+        return node(lo, half) + node(lo + half, n - half)
+
+    return node(0, count)
+
+
 def psnr_from_mse(mse: float, peak: float = 1.0) -> float:
     """PSNR in dB for the given mean squared error; +inf when mse is 0."""
     if mse < 0:
@@ -291,11 +356,16 @@ def reconstruction_metrics(
     encoder: LinearEncoder,
     codebook: Codebook,
 ) -> tuple[float, float]:
-    """(mse, psnr) of tokens decoded to pixel space (peak 1.0); each codebook entry is decoded once."""
+    """(mse, psnr) of tokens decoded to pixel space (peak 1.0); each codebook entry is decoded once.
+
+    The mse is ``np.mean`` of the squared error stack, bit for bit, without
+    the stack: :func:`_pairwise_sum` takes it in numpy's summation order,
+    decoding only the images each of its blocks covers into one buffer.
+    """
     images, tokens = np.asarray(images, dtype=np.float64), np.asarray(tokens)
     if tokens.ndim != 2 or len(tokens) != len(images):
         raise ValueError(f"tokens must hold one row per image ({len(images)}), got shape {tokens.shape}")
-    size, patch, length = images.shape[1], encoder.patch_size, tokens.shape[1]
+    size, patch, length = _image_side(images), encoder.patch_size, tokens.shape[1]
     if size % patch or (size // patch) ** 2 != length:
         raise ValueError(f"L = {length} patches, but (image_size / patch_size)**2 = {(size / patch) ** 2:g}")
     if codebook.dim != encoder.dim:
@@ -304,10 +374,20 @@ def reconstruction_metrics(
     decode(tokens.flat[[tokens.argmin(), tokens.argmax()]] if tokens.size else tokens, codebook)
     # two rows at least: numpy hands one row to gemv, which rounds unlike the per-token GEMM
     entries = np.resize(codebook.entries, (max(codebook.k_max, 2), codebook.dim)).astype(np.float64)
-    table = _blocked_product(entries, encoder.projection.T)
+    table = _blocked_product(entries[:, None], encoder.projection.T)
     table += encoder.mean
-    diff = _tile_patches(table, tokens, encoder.patch_size)
-    mse = float(np.mean(np.square(np.subtract(images, diff, out=diff), out=diff)))
+    table = np.clip(table, 0.0, 1.0, out=table).reshape(-1, patch, patch)
+    pixels = size * size
+    buffer = np.empty((min(len(images), _SUM_LEAF // pixels + 2), size, size))
+
+    def squared_error(lo: int, hi: int) -> float:
+        """np.add.reduce of values lo:hi of the flat squared error stack."""
+        i0, i1 = lo // pixels, -(-hi // pixels)
+        block = _tile_patches(table, tokens[i0:i1], buffer[: i1 - i0])
+        np.square(np.subtract(images[i0:i1], block, out=block), out=block)
+        return np.add.reduce(block.reshape(-1)[lo - i0 * pixels : hi - i0 * pixels])
+
+    mse = float(_pairwise_sum(len(images) * pixels, squared_error) / (len(images) * pixels))
     return mse, psnr_from_mse(mse)
 
 

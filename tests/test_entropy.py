@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 from collections import Counter
 
 import numpy as np
@@ -480,6 +481,23 @@ class TestEngineOracle:
                 assert capacity_report(sched, n).remaining_budget == want
         with pytest.raises(ValueError, match="n_samples"):
             capacity_report(SCHEDULE_PRESETS["cosine"], 0)
+
+    @pytest.mark.parametrize("preset", SCHEDULE_PRESETS)
+    def test_budget_sign_is_exact(self, preset):
+        # 0.0 exactly where the capacity reaches N, positive before: at every
+        # N = P - 1, P, P + 1 up to 2**63 for the products P = K_0 * ... * K_{t-1}
+        # (remaining_budget) and the powers P = k_max**t (prop1_bounds)
+        sched = SCHEDULE_PRESETS[preset]
+        products = list(itertools.accumulate(codebook_sizes(sched), operator.mul, initial=1))[:-1]
+        powers = [sched.k_max**t for t in range(sched.length)]
+        for capacities, budget in (
+            (products, lambda n: capacity_report(sched, n).remaining_budget),
+            (powers, lambda n: prop1_bounds(sched, n)),
+        ):
+            for n in sorted({n for p in capacities for n in (p - 1, p, p + 1) if 1 <= n <= 2**63}):
+                bits = budget(n)
+                assert [b == 0.0 for b in bits] == [p >= n for p in capacities], n
+                assert min(bits) >= 0.0, n
 
     @pytest.mark.parametrize(
         "counts, message",

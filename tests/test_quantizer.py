@@ -1,3 +1,4 @@
+import mmap
 from fractions import Fraction
 
 import numpy as np
@@ -650,3 +651,35 @@ class TestCodebookFile:
     def test_non_finite_entries_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             Codebook(entries=np.array([[np.inf, 0.0]]))
+
+
+def mapping_of(array):
+    """The object at the root of an array's base chain."""
+    while isinstance(array, np.ndarray) and array.base is not None:
+        array = array.base
+    return array.obj if isinstance(array, memoryview) else array
+
+
+class TestMappedEmpty:
+    @pytest.mark.parametrize("shape", [(1024, 128), (3, 1000, 50), (1 << 17,)])
+    def test_from_one_mib_in_its_own_mapping(self, shape):
+        array = quantizer._mapped_empty(shape)
+        assert array.shape == shape and array.dtype == np.float64
+        assert array.flags.c_contiguous and array.flags.writeable
+        assert isinstance(mapping_of(array), mmap.mmap)
+        array[...] = 1.5
+        assert array.sum() == 1.5 * array.size
+
+    @pytest.mark.parametrize("shape", [(1023, 128), (0, 8), (0,), (3, 5)])
+    def test_below_one_mib_from_numpy(self, shape):
+        array = quantizer._mapped_empty(shape)
+        assert array.shape == shape and array.dtype == np.float64
+        assert array.base is None
+
+    def test_fit_columns_are_mapped(self, monkeypatch, rng):
+        made = []
+        real = quantizer._mapped_empty
+        monkeypatch.setattr(quantizer, "_mapped_empty", lambda shape: made.append(shape) or real(shape))
+        latents = rng.normal(size=(5, 4, 3))
+        fit_codebook(latents, Schedule("constant", 4, 4, 4), k_max=4, d=3, epochs=1, decay=0.9, seed=0)
+        assert made == [(3, 20)]

@@ -2,6 +2,7 @@ import concurrent.futures
 import inspect
 import json
 import math
+import mmap
 import multiprocessing
 import os
 import re
@@ -9,13 +10,14 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vcqlab import toylab
-from vcqlab.quantizer import Codebook, decode, fit_codebook
+from vcqlab.quantizer import Codebook, _mapped_empty, decode, fit_codebook
 from vcqlab.schedule import Family, Schedule, codebook_sizes
 from vcqlab.toylab import (
     _ENCODE_BLOCK,
@@ -247,6 +249,51 @@ class TestBlockedEncode:
         assert len(flat) > encode_block(enc)
         assert latents.tobytes() == ((flat - enc.mean) @ enc.projection).tobytes()
 
+    @pytest.mark.parametrize("block", [1, 64, 100, 1000, _ENCODE_BLOCK])
+    def test_images_equal_patches_of_the_extracted_matrix(self, rng, monkeypatch, block):
+        # every block of encode_images is read from the patch grid, runs of g
+        # patches split at both ends whenever the block rows are not a multiple of g
+        monkeypatch.setattr(toylab, "_ENCODE_BLOCK", block)
+        for _ in range(12):
+            patch, g = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+            n, dim = int(rng.integers(1, 40)), int(rng.integers(1, patch * patch + 1))
+            images = rng.uniform(size=(n, g * patch, g * patch))
+            enc = toylab.LinearEncoder(
+                patch, dim, rng.uniform(size=patch * patch), rng.normal(size=(patch * patch, dim))
+            )
+            got = enc.encode_images(images)
+            want = enc.encode_patches(toylab._extract_patches(images, patch))
+            assert got.shape == (n, g * g, dim)
+            assert got.tobytes() == want.tobytes(), (n, g, patch, dim)
+
+    def test_encode_makes_no_patch_matrix(self, rng):
+        # 500 images of 32 x 32 (4.1 MB): a whole patch matrix would be another 4.1 MB
+        images = rng.uniform(size=(500, 32, 32))
+        enc = fit_encoder(images[:50], patch_size=4, d=8)
+        tracemalloc.start()
+        try:
+            latents = enc.encode_images(images)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < latents.nbytes + images.nbytes / 4
+
+    def test_image_sized_arrays_are_mapped(self, monkeypatch):
+        # each goes back to the system when freed, leaving the malloc heap alone
+        made = []
+        monkeypatch.setattr(toylab, "_mapped_empty", lambda shape: made.append(shape) or _mapped_empty(shape))
+        _, _, latents = default_inputs()
+        # fit_encoder's centered patches, then the latents
+        assert made == [(128000, 16), (128000, 8)]
+        while isinstance(latents, np.ndarray):
+            latents = latents.base
+        assert isinstance(latents.obj, mmap.mmap)
+
+    def test_two_dimensional_images_refused(self, rng):
+        enc = fit_encoder(rng.uniform(size=(6, 8, 8)), patch_size=4, d=4)
+        with pytest.raises(ValueError, match=re.escape("(n, s, s) stack of square images, got shape (8, 8)")):
+            enc.encode_images(rng.uniform(size=(8, 8)))
+
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="BLAS runs one thread on one core")
     def test_no_blas_worker_spins_after_encode_and_reconstruction(self):
         dataset, enc, latents = default_inputs()
@@ -378,7 +425,7 @@ class TestReconstructionMetrics:
 
         monkeypatch.setattr(toylab, "_tile_patches", recorded)
         reconstruction_metrics(images, tokens, enc, cb)
-        assert tables[0].tobytes() == enc.decode_patches(cb.entries).tobytes()
+        assert tables[0].tobytes() == np.clip(enc.decode_patches(cb.entries), 0.0, 1.0).tobytes()
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="BLAS runs one thread on one core")
     def test_no_blas_worker_spins_after_paper_sized_reconstruction(self, rng):
@@ -396,9 +443,40 @@ class TestReconstructionMetrics:
         got = reconstruction_metrics(dataset.images, tokens, enc, cb)
         assert repr(got) == repr(self.per_token_metrics(dataset.images, tokens, enc, cb))
 
+    @pytest.mark.parametrize("leaf", [128, 200, 1000])
+    @pytest.mark.parametrize("size, patch", [(4, 2), (8, 4), (12, 4)])
+    def test_mse_equals_np_mean_in_small_leaves(self, rng, monkeypatch, leaf, size, patch):
+        # leaves of the pairwise sum that split images, over value counts
+        # around multiples of 8 and of numpy's 128-value pairwise leaf
+        monkeypatch.setattr(toylab, "_SUM_LEAF", leaf)
+        images = rng.uniform(size=(70, size, size))
+        enc = fit_encoder(images, patch_size=patch, d=3)
+        cb = Codebook(entries=rng.normal(0.0, 0.5, size=(20, 3)))
+        tokens = rng.integers(0, 20, size=(70, (size // patch) ** 2))
+        for n in (1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 63, 64, 65, 70):
+            metrics = self.per_token_metrics(images[:n], tokens[:n], enc, cb)
+            assert repr(reconstruction_metrics(images[:n], tokens[:n], enc, cb)) == repr(metrics), n
+
+    def test_reconstruction_makes_no_image_sized_copy(self, rng):
+        # 1,000 images of 32 x 32 (8.2 MB): a whole decoded stack would be another 8.2 MB
+        images = rng.uniform(size=(1000, 32, 32))
+        enc = fit_encoder(images[:50], patch_size=4, d=8)
+        cb = Codebook(entries=rng.normal(0.0, 0.5, size=(256, 8)))
+        tokens = rng.integers(0, 256, size=(1000, 64)).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            reconstruction_metrics(images, tokens, enc, cb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < images.nbytes / 4
+
     @pytest.mark.parametrize(
         "case, error, message",
         [
+            ("vector", ValueError, "images must be an (n, s, s) stack of square images, got shape (8,)"),
+            ("oblong", ValueError, "images must be an (n, s, s) stack of square images, got shape (2, 8, 6)"),
+            ("pixelless", ValueError, "images must be an (n, s, s) stack of square images, got shape (8, 0, 0)"),
             ("rows", ValueError, "tokens must hold one row per image (8), got shape (5, 4)"),
             ("flat", ValueError, "tokens must hold one row per image (8), got shape (32,)"),
             ("length", ValueError, "L = 9 patches, but (image_size / patch_size)**2 = 4"),
@@ -422,7 +500,14 @@ class TestReconstructionMetrics:
             "float": np.ones((8, 4)),
             "range": grid % 17,
             "negative": np.where(grid == 5, -1, grid % 4),
+            "oblong": rng.integers(0, 16, size=(2, 4)),
+            "pixelless": np.empty((8, 0), dtype=int),
         }.get(case, rng.integers(0, 16, size=(8, 4)))
+        images = {
+            "vector": rng.uniform(size=8),
+            "oblong": rng.uniform(size=(2, 8, 6)),
+            "pixelless": np.empty((8, 0, 0)),
+        }.get(case, images)
         enc.decode_patches = lambda latents: pytest.fail("decoded before the input was checked")
         with pytest.raises(error, match=re.escape(message)):
             reconstruction_metrics(images, tokens, enc, cb)
