@@ -27,7 +27,6 @@ from .schedule import (
     check_fields,
     config_int,
     data_threshold,
-    load_schedule,
     schedule_from_json,
     schedule_to_json,
     tstar_uniform,
@@ -61,11 +60,8 @@ def _resolve_schedule(value: str) -> Schedule:
     """A schedule argument is a preset name, a JSON file path, or inline JSON."""
     if value in SCHEDULE_PRESETS:
         return SCHEDULE_PRESETS[value]
-    if value.lstrip().startswith("{"):
-        return schedule_from_json(json.loads(value))
-    path = Path(value)
-    if path.exists():
-        return load_schedule(path)
+    if value.lstrip().startswith("{") or Path(value).exists():
+        return schedule_from_json(_load_json_arg(value))
     raise UsageError(
         f"unknown schedule {value!r}: not a preset "
         f"({', '.join(SCHEDULE_PRESETS)}), file, or inline JSON"
@@ -73,8 +69,9 @@ def _resolve_schedule(value: str) -> Schedule:
 
 
 def _load_json_arg(value: str):
-    """Inline JSON (an object or a list) or a path to a JSON file."""
-    if value.lstrip().startswith(("{", "[")):
+    """Inline JSON (an object, or a list that names no file) or a path to a JSON file."""
+    text = value.lstrip()
+    if text.startswith("{") or (text.startswith("[") and not Path(value).exists()):
         return json.loads(value)
     return json.loads(Path(value).read_text())
 

@@ -395,7 +395,6 @@ def fit_codebook(
     # never decreases along a schedule, so there is one run per K_t
     edges = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), length]
     runs = [(sizes[a], a * n, b * n) for a, b in zip(edges, edges[1:])]
-    last = np.asarray(sizes) - 1
     for epoch in range(epochs):
         table = _score_table(entries)
         stale = ~(ub * margin < lb)
@@ -424,7 +423,10 @@ def fit_codebook(
             delta = np.sqrt(moved) * _UP
             ub += delta[tokens]
             ub *= _UP
-            lb -= np.repeat(np.maximum.accumulate(delta)[last], n)
+            # every row of a K_t run drops by the largest move in its prefix
+            reach = np.maximum.accumulate(delta)
+            for k_t, r0, r1 in runs:
+                lb[r0:r1] -= reach[k_t - 1]
             lb *= _DOWN
     return Codebook(entries=entries.astype(np.float32))
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -41,7 +40,6 @@ __all__ = [
     "capacity_report",
     "schedule_from_json",
     "schedule_to_json",
-    "load_schedule",
     "write_capacity_csv",
     "capacity_summary",
     "config_int",
@@ -382,10 +380,6 @@ SCHEDULE_PRESETS: dict[str, Schedule] = {
 def schedule_from_json(data: dict) -> Schedule:
     """Inverse of :func:`schedule_to_json`, with field validation."""
     return Schedule(**check_fields(data, "schedule", SCHEDULE_FIELDS, SCHEDULE_REQUIRED))
-
-
-def load_schedule(path: str | Path) -> Schedule:
-    return schedule_from_json(json.loads(Path(path).read_text()))
 
 
 def write_capacity_csv(report: CapacityReport, path: str | Path) -> None:

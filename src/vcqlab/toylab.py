@@ -194,13 +194,8 @@ def _patch_grid(images: np.ndarray, patch_size: int) -> np.ndarray:
     return grid.reshape(n * g, g, patch_size, patch_size)
 
 
-def _extract_patches(images: np.ndarray, patch_size: int) -> np.ndarray:
-    """Raster-order patches, flattened: (n_images * L, patch_size**2)."""
-    return _patch_grid(images, patch_size).reshape(-1, patch_size * patch_size)
-
-
 def _tile_patches(table: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_extract_patches`: the images of (K, p, p) ``table`` rows ``ids`` (n, L), in ``out``."""
+    """Inverse of :func:`_patch_grid`: the images of (K, p, p) ``table`` rows ``ids`` (n, L), in ``out``."""
     n, g, p = len(ids), math.isqrt(ids.shape[1]), table.shape[1]
     # pixel row y of patch k is row k * p + y of the table; every id is already checked, and
     # mode "clip" writes straight into out, where "raise" would buffer the whole result
@@ -254,11 +249,6 @@ class LinearEncoder:
     dim: int
     mean: np.ndarray        # (patch_size**2,)
     projection: np.ndarray  # (patch_size**2, dim)
-
-    def encode_patches(self, flat: np.ndarray) -> np.ndarray:
-        shape = np.shape(flat)[:-1]
-        flat = np.asarray(flat, dtype=np.float64).reshape(-1, 1, self.mean.size)
-        return _blocked_product(flat, self.projection, self.mean).reshape(*shape, self.dim)
 
     def decode_patches(self, latents: np.ndarray) -> np.ndarray:
         return np.asarray(latents, dtype=np.float64) @ self.projection.T + self.mean
@@ -366,6 +356,8 @@ def reconstruction_metrics(
     if tokens.ndim != 2 or len(tokens) != len(images):
         raise ValueError(f"tokens must hold one row per image ({len(images)}), got shape {tokens.shape}")
     size, patch, length = _image_side(images), encoder.patch_size, tokens.shape[1]
+    if not len(images):
+        raise ValueError(f"images must hold at least one image, got shape {images.shape}")
     if size % patch or (size // patch) ** 2 != length:
         raise ValueError(f"L = {length} patches, but (image_size / patch_size)**2 = {(size / patch) ** 2:g}")
     if codebook.dim != encoder.dim:

@@ -5,8 +5,9 @@ import multiprocessing
 import pytest
 
 from vcqlab import toylab
-from vcqlab.cli import main
+from vcqlab.cli import _resolve_schedule, main
 from vcqlab.corpus import read_corpus
+from vcqlab.schedule import SCHEDULE_PRESETS, schedule_to_json
 
 TINY_CONFIG = {
     "dataset": {"n_classes": 3, "n_per_class": 15, "image_size": 16, "seed": 0},
@@ -66,6 +67,36 @@ class TestScheduleCommand:
     def test_unknown_preset_is_usage_error(self, capsys):
         assert main(["schedule", "--preset", "nope"]) == 1
         assert "unknown schedule" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", ["preset", "inline", "file", "bracketed file"])
+    def test_schedule_argument_forms(self, tmp_path, capsys, monkeypatch, form):
+        # a preset name, inline JSON or a JSON file name the same schedule, even
+        # a file whose name starts like an inline list
+        sched = json.dumps(schedule_to_json(SCHEDULE_PRESETS["cosine"]))
+        (tmp_path / "sched.json").write_text(sched)
+        (tmp_path / "[sched].json").write_text(sched)
+        monkeypatch.chdir(tmp_path)
+        value = {"preset": "cosine", "inline": sched, "file": "sched.json", "bracketed file": "[sched].json"}[form]
+        assert _resolve_schedule(value) == SCHEDULE_PRESETS["cosine"]
+        assert main(["schedule", "--preset", value, "--json"]) == 0
+        got = capsys.readouterr()
+        assert main(["schedule", "--preset", "cosine", "--json"]) == 0
+        assert got.out == capsys.readouterr().out and got.err == ""
+
+    @pytest.mark.parametrize("value", ["[2, 16]", "no/such/sched.json"])
+    def test_list_or_missing_path_is_usage_error(self, capsys, value):
+        # a JSON list is no schedule, and a path that does not exist is not read
+        assert main(["schedule", "--preset", value]) == 1
+        presets = ", ".join(SCHEDULE_PRESETS)
+        assert capsys.readouterr().err == (
+            f"error: unknown schedule {value!r}: not a preset ({presets}), file, or inline JSON\n"
+        )
+
+    def test_bad_schedule_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "sched.json"
+        path.write_text(json.dumps({"family": "cosine", "k_min": 2}))
+        assert main(["schedule", "--preset", str(path)]) == 2
+        assert capsys.readouterr().err == "data error: missing field schedule.k_max\n"
 
     def test_csv_curve(self, tmp_path, capsys):
         csv_path = tmp_path / "curve.csv"

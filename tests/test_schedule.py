@@ -13,7 +13,6 @@ from vcqlab.schedule import (
     codebook_sizes,
     config_int,
     data_threshold,
-    load_schedule,
     schedule_from_json,
     schedule_to_json,
     tstar_uniform,
@@ -301,7 +300,7 @@ class TestSerialization:
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "sched.json"
         path.write_text(json.dumps(schedule_to_json(COSINE)))
-        assert load_schedule(path) == COSINE
+        assert schedule_from_json(json.loads(path.read_text())) == COSINE
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="family"):

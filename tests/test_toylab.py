@@ -35,6 +35,18 @@ from vcqlab.toylab import (
 )
 
 
+def patch_matrix(images, patch_size):
+    """The (n * L, p * p) matrix of raster-order patches that the encoder never builds."""
+    return toylab._patch_grid(images, patch_size).reshape(-1, patch_size * patch_size)
+
+
+def one_shot(encoder, images):
+    """``encode_images`` as one product over the whole patch matrix."""
+    flat = patch_matrix(images, encoder.patch_size)
+    length = (images.shape[1] // encoder.patch_size) ** 2
+    return ((flat - encoder.mean) @ encoder.projection).reshape(len(images), length, encoder.dim)
+
+
 def tiny_config(seed=0):
     """Shrunk experiment config for fast unit tests."""
     cfg = default_experiment_config(seed=seed)
@@ -159,7 +171,7 @@ class TestFitEncoder:
         enc = fit_encoder(images, patch_size=4, d=16)
         latents = enc.encode_images(images)
         recon = enc.decode_patches(latents.reshape(-1, enc.dim))
-        assert np.allclose(recon, toylab._extract_patches(images, 4), atol=1e-5)
+        assert np.allclose(recon, patch_matrix(images, 4), atol=1e-5)
 
     def test_orthonormal_columns(self, rng):
         images = rng.uniform(size=(6, 8, 8))
@@ -197,7 +209,7 @@ class TestFitEncoder:
         # patch_size 1 and patch_size == image_size give patches that are a
         # view of the images, 4 a copy: centering must not reach the caller's
         images = rng.uniform(size=(6, 8, 8))
-        assert np.shares_memory(toylab._extract_patches(images, patch_size), images) == (patch_size != 4)
+        assert np.shares_memory(patch_matrix(images, patch_size), images) == (patch_size != 4)
         before = images.copy()
         fit_encoder(images, patch_size=patch_size, d=1)
         assert images.tobytes() == before.tobytes()
@@ -205,10 +217,11 @@ class TestFitEncoder:
     def test_span_reconstruction(self, rng):
         images = rng.uniform(size=(10, 8, 8))
         enc = fit_encoder(images, patch_size=4, d=6)
-        # a patch already inside the span round-trips exactly
-        latent = rng.normal(size=(1, 6))
-        patch = enc.decode_patches(latent)
-        assert np.allclose(enc.encode_patches(patch), latent, atol=1e-10)
+        # patches already inside the span round-trip exactly: one image of 2 x 2 of them
+        latent = rng.normal(size=(1, 4, 6))
+        patches = enc.decode_patches(latent).reshape(1, 2, 2, 4, 4)
+        image = patches.transpose(0, 1, 3, 2, 4).reshape(1, 8, 8)
+        assert np.allclose(enc.encode_images(image), latent, atol=1e-10)
 
 
 def default_inputs():
@@ -227,20 +240,34 @@ class TestBlockedEncode:
         enc = fit_encoder(rng.uniform(size=(6, 8, 8)), patch_size=patch_size, d=dim)
         block = encode_block(enc)
         for rows in (0, 1, 2, block - 1, block, block + 1):
-            flat = rng.uniform(size=(rows, patch_size**2))
-            one_shot = (flat - enc.mean) @ enc.projection
-            got = enc.encode_patches(flat)
-            assert got.shape == one_shot.shape and got.tobytes() == one_shot.tobytes(), rows
+            # images of one patch each: one row of the patch matrix per image
+            images = rng.uniform(size=(rows, patch_size, patch_size))
+            want = one_shot(enc, images)
+            got = enc.encode_images(images)
+            assert got.shape == want.shape == (rows, 1, dim) and got.tobytes() == want.tobytes(), rows
+
+    @pytest.mark.parametrize(
+        "n, size, patch_size, dim",
+        [(2000, 32, 4, 8), (3, 8, 2, 3), (257, 16, 4, 8), (33, 12, 3, 9), (500, 64, 4, 8), (1, 8, 4, 3)],
+    )
+    def test_images_equal_one_shot_product(self, rng, n, size, patch_size, dim):
+        images = rng.uniform(size=(n, size, size))
+        enc = fit_encoder(images, patch_size=patch_size, d=dim)
+        got = enc.encode_images(images)
+        want = one_shot(enc, images)
+        assert got.shape == want.shape == (n, (size // patch_size) ** 2, dim)
+        assert got.tobytes() == want.tobytes()
 
     def test_keeps_leading_axes(self, rng):
         enc = fit_encoder(rng.uniform(size=(6, 8, 8)), patch_size=4, d=6)
-        patches = rng.uniform(size=(3, 5, 16))
-        stacked = enc.encode_patches(patches)
-        assert stacked.shape == (3, 5, 6)
-        assert stacked.tobytes() == enc.encode_patches(patches.reshape(15, 16)).tobytes()
-        vector = enc.encode_patches(patches[0, 0])
-        assert vector.shape == (6,)
-        assert vector.tobytes() == ((patches[0, 0] - enc.mean) @ enc.projection).tobytes()
+        images = rng.uniform(size=(3, 20, 20))
+        stacked = enc.encode_images(images)
+        assert stacked.shape == (3, 25, 6)
+        assert stacked.tobytes() == one_shot(enc, images).tobytes()
+        # a lone patch: one row, which numpy would hand to gemv
+        vector = enc.encode_images(images[:1, :4, :4])
+        assert vector.shape == (1, 1, 6)
+        assert vector.tobytes() == ((images[0, :4, :4].reshape(16) - enc.mean) @ enc.projection).tobytes()
 
     def test_default_dataset_equals_one_shot_product(self):
         # 128,000 rows: the one-shot product is large enough to run on OpenBLAS's threads
@@ -262,7 +289,8 @@ class TestBlockedEncode:
                 patch, dim, rng.uniform(size=patch * patch), rng.normal(size=(patch * patch, dim))
             )
             got = enc.encode_images(images)
-            want = enc.encode_patches(toylab._extract_patches(images, patch))
+            # the same row blocks over the flat patch matrix, one patch per run
+            want = toylab._blocked_product(patch_matrix(images, patch)[:, None], enc.projection, enc.mean)
             assert got.shape == (n, g * g, dim)
             assert got.tobytes() == want.tobytes(), (n, g, patch, dim)
 
@@ -477,6 +505,7 @@ class TestReconstructionMetrics:
             ("vector", ValueError, "images must be an (n, s, s) stack of square images, got shape (8,)"),
             ("oblong", ValueError, "images must be an (n, s, s) stack of square images, got shape (2, 8, 6)"),
             ("pixelless", ValueError, "images must be an (n, s, s) stack of square images, got shape (8, 0, 0)"),
+            ("empty", ValueError, "images must hold at least one image, got shape (0, 8, 8)"),
             ("rows", ValueError, "tokens must hold one row per image (8), got shape (5, 4)"),
             ("flat", ValueError, "tokens must hold one row per image (8), got shape (32,)"),
             ("length", ValueError, "L = 9 patches, but (image_size / patch_size)**2 = 4"),
@@ -502,11 +531,13 @@ class TestReconstructionMetrics:
             "negative": np.where(grid == 5, -1, grid % 4),
             "oblong": rng.integers(0, 16, size=(2, 4)),
             "pixelless": np.empty((8, 0), dtype=int),
+            "empty": np.empty((0, 4), dtype=int),
         }.get(case, rng.integers(0, 16, size=(8, 4)))
         images = {
             "vector": rng.uniform(size=8),
             "oblong": rng.uniform(size=(2, 8, 6)),
             "pixelless": np.empty((8, 0, 0)),
+            "empty": np.empty((0, 8, 8)),
         }.get(case, images)
         enc.decode_patches = lambda latents: pytest.fail("decoded before the input was checked")
         with pytest.raises(error, match=re.escape(message)):
