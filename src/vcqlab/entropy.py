@@ -68,53 +68,6 @@ THRESHOLD_RANGE = (lambda v: 0 < v < math.inf, "finite and > 0")
 ANALYZE_FIELDS = {"cliff_threshold": "float"}
 ANALYZE_RANGES = {"cliff_threshold": THRESHOLD_RANGE}
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def entropy_from_counts(counts) -> float:
-    """Entropy in bits of the empirical distribution given positive integer counts.
-
-    Every term is ``(c/n) * math.log2(c/n)`` with ``n`` the exact integer
-    total, evaluated once per distinct count, and :func:`_exact_sum` rounds
-    the sum of every term times its repeats exactly, as ``math.fsum`` of
-    one term per count does, so the result does not depend on the order of
-    the counts.  Raises ``ValueError`` naming the bad count for an empty
-    input, a count below 1, a count that is not an integer and a count
-    beyond int64; nothing is truncated or wrapped.
-    """
-    counts = np.asarray(counts)
-    if counts.ndim != 1 or not counts.size:
-        raise ValueError(f"counts must be a non-empty 1-D sequence, got shape {counts.shape}")
-    if counts.dtype.kind == "O":
-        # numpy keeps ints beyond int64 as Python objects
-        for index, c in enumerate(counts.tolist()):
-            if type(c) is not int:
-                raise ValueError(f"counts must be integers, got {c!r} (dtype object)")
-            if c < 1:
-                raise ValueError(f"counts must be >= 1, got {c} at index {index}")
-            if c > _INT64_MAX:
-                raise ValueError(f"counts must fit in int64, got {c} at index {index}")
-        counts = counts.astype(np.int64)
-    elif counts.dtype.kind not in "iu":
-        values = counts.tolist()
-        bad = next((c for c in values if not (isinstance(c, float) and c.is_integer())), None)
-        high = int(counts.argmax())
-        if bad is None and values[high] > _INT64_MAX:
-            # numpy stores int64 and uint64 values beyond int64 together as floats
-            raise ValueError(f"counts must fit in int64, got {values[high]!r} at index {high}")
-        bad = values[0] if bad is None else bad
-        raise ValueError(f"counts must be integers, got {bad!r} (dtype {counts.dtype})")
-    low, high = int(counts.argmin()), int(counts.argmax())
-    if counts[low] < 1:
-        raise ValueError(f"counts must be >= 1, got {counts[low]} at index {low}")
-    if counts[high] > _INT64_MAX:
-        raise ValueError(f"counts must fit in int64, got {counts[high]} at index {high}")
-    counts = counts.astype(np.int64, copy=False)
-    if counts[high] > _INT64_MAX // counts.size and sum(counts.tolist()) > _INT64_MAX:
-        raise ValueError(f"counts must sum to at most {_INT64_MAX}")
-    distinct, repeats = np.unique(counts, return_counts=True)
-    return -_exact_sum(_xlog2x(distinct / int(counts.sum())).tolist(), repeats.tolist())
-
 
 def refine_groups(gids: np.ndarray, column: np.ndarray, k: int):
     """One prefix-refinement step: regroup rows by (group id, next token).
@@ -164,6 +117,16 @@ def _exact_sum(values: list[float], repeats: list[int]) -> float:
     if total:
         return total / scale
     return 0.0 if any(values) else math.fsum(values)
+
+
+def _counts_entropy(counts, repeats, n: int) -> float:
+    """Entropy in bits of ``repeats[i]`` copies of each ``counts[i]``, which sum to ``n``.
+
+    ``-sum m * (c/n) log2(c/n)``, exactly rounded (:func:`_exact_sum`), so
+    neither the order of the counts nor whether they repeat moves a bit.
+    The repeats reach the sum as Python ints, which cannot overflow.
+    """
+    return -_exact_sum(_xlog2x(np.asarray(counts) / n).tolist(), np.asarray(repeats).tolist())
 
 
 def _group_sums(inner, starts, n_children) -> np.ndarray:
@@ -223,8 +186,8 @@ def _refinement_pass(tokens: np.ndarray) -> _Sweep:
     ``(c/T) log2(c/T)`` is evaluated once per distinct pair and each
     ``(c/n) log2(c/n)`` once per distinct c; each group's sum of child
     terms is exactly rounded (:func:`_group_sums`), and the prefix-joint
-    and joint sums are :func:`_exact_sum` of the distinct terms with their
-    repeats.  Each position gathers its column of the surviving rows
+    and joint sums are :func:`_counts_entropy` of the distinct counts with
+    their repeats.  Each position gathers its column of the surviving rows
     directly from ``tokens``.
     """
     n, length = tokens.shape
@@ -259,12 +222,7 @@ def _refinement_pass(tokens: np.ndarray) -> _Sweep:
         inner = _xlog2x(sizes / (pairs // pair_width))[pair_of_child]
         group_sums = _group_sums(inner, starts, n_children)
         conditional.append(math.fsum(((totals / n) * -group_sums).tolist()))
-        # (c/n) log2(c/n) once per distinct child count c, with its repeats
-        distinct, which = np.unique(sizes, return_inverse=True)
-        c_repeats = np.zeros(distinct.size, dtype=np.int64)
-        np.add.at(c_repeats, which, repeats)
-        terms = _xlog2x(distinct / n)
-        prefix_joint.append(_exact_sum((-terms).tolist(), c_repeats.tolist()) + singleton_term)
+        prefix_joint.append(_counts_entropy(sizes, repeats, n) + singleton_term)
         # a child of count 1 is one row that became a singleton
         dropped = int(np.count_nonzero(counts == 1))
         gids = inverse
@@ -279,8 +237,7 @@ def _refinement_pass(tokens: np.ndarray) -> _Sweep:
     if n_singletons:
         full_rows.append(1)
         full_repeats.append(n_singletons)
-    joint = -_exact_sum(_xlog2x(np.array(full_rows) / n).tolist(), full_repeats)
-    return _Sweep(conditional, prefix_joint, joint)
+    return _Sweep(conditional, prefix_joint, _counts_entropy(full_rows, full_repeats, n))
 
 
 def conditional_entropy_profile(corpus: TokenCorpus) -> list[float]:
@@ -291,7 +248,8 @@ def conditional_entropy_profile(corpus: TokenCorpus) -> list[float]:
 def joint_entropy(corpus: TokenCorpus) -> float:
     """Entropy in bits of the empirical distribution over whole sequences."""
     _, counts = np.unique(corpus.tokens, axis=0, return_counts=True)
-    return entropy_from_counts(counts)
+    distinct, repeats = np.unique(counts, return_counts=True)
+    return _counts_entropy(distinct, repeats, corpus.n_samples)
 
 
 def chain_rule_check(corpus: TokenCorpus) -> tuple[float, float, float]:

@@ -419,16 +419,18 @@ def _sample_rows(
     policy: GuidancePolicy,
     scope: np.ndarray,
     uniforms: np.ndarray | None,
-) -> np.ndarray:
-    """Sample one sequence per entry of ``scope``, all rows one position at a time.
+    out: np.ndarray,
+) -> None:
+    """Sample row i of ``out`` for entry i of ``scope``, all rows one position at a time.
 
     ``uniforms[i, t]`` is row i's draw at position t (None at temperature 0,
     which takes the argmax).  Drawing by inverse CDF consumes exactly what
-    ``Generator.choice(K_t, p=p)`` would, and picks the same token.
+    ``Generator.choice(K_t, p=p)`` would, and picks the same token.  Each
+    column of ``out`` is written in place before any later one is read, so
+    ``out`` may start uninitialized.
     """
     sizes = codebook_sizes(model.schedule)
     pooled = np.full(len(scope), len(model.classes))
-    out = np.zeros((len(scope), model.length), dtype=np.int64)
     for t, k_t in enumerate(sizes):
         s_t = size_aware_scale(policy, t)
         # one context lookup serves the class and the pooled distributions
@@ -449,7 +451,6 @@ def _sample_rows(
         cdf = cdf / cdf[:, -1:]
         # searchsorted(cdf, u, side="right") of each row; cdf is non-decreasing
         out[:, t] = np.count_nonzero(cdf <= uniforms[:, t, None], axis=1)
-    return out
 
 
 # rows sampled together are capped so one (rows, k_max) float array stays
@@ -496,11 +497,12 @@ def sample_corpus(
     block = max(1, _BLOCK_ELEMENTS // model.k_max)
     rows = np.empty((n_samples, model.length), dtype=token_dtype(model.k_max))
     for lo in range(0, n_samples, block):
-        rows[lo : lo + block] = _sample_rows(
+        _sample_rows(
             model,
             policy,
             scope[lo : lo + block],
             None if uniforms is None else uniforms[lo : lo + block],
+            rows[lo : lo + block],
         )
     return TokenCorpus(tokens=rows, k_max=model.k_max, labels=np.asarray(labels))
 
@@ -531,7 +533,7 @@ def memorization_report(
     prefix_total = 0
     matched = n
     for t in range(training.length):
-        keys, inverse, _ = refine_groups(gids, tokens[rows, t], k)
+        keys, inverse, _ = refine_groups(gids, tokens[:, t][rows], k)
         is_generated = rows < n
         has_generated = np.zeros(keys.size, dtype=bool)
         has_generated[inverse[is_generated]] = True

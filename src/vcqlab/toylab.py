@@ -363,7 +363,7 @@ def reconstruction_metrics(
     if codebook.dim != encoder.dim:
         raise ValueError(f"codebook dim {codebook.dim} does not match encoder dim {encoder.dim}")
     # decode's refusals on the smallest and largest id name the range of every id
-    decode(tokens.flat[[tokens.argmin(), tokens.argmax()]] if tokens.size else tokens, codebook)
+    decode(tokens.flat[[tokens.argmin(), tokens.argmax()]], codebook)
     # two rows at least: numpy hands one row to gemv, which rounds unlike the per-token GEMM
     entries = np.resize(codebook.entries, (max(codebook.k_max, 2), codebook.dim)).astype(np.float64)
     table = _blocked_product(entries[:, None], encoder.projection.T)
