@@ -64,11 +64,10 @@ CODEBOOK_MAGIC = b"VCQC"
 CODEBOOK_VERSION = 1
 _HEADER = struct.Struct("<4sHII")
 
-# Score-matrix elements per kernel block: 2**16 float64 values (512 KiB) stay
-# in the core's cache between the GEMM that writes a block and the scans that
-# read it.  Rows per block are _BLOCK // K_t; taking all rows of a K_t = 256
-# position in one block measured slower.
-_BLOCK = 1 << 16
+# Every BLAS call does fewer multiply-adds: OpenBLAS 0.3.31 then runs a GEMM on the calling
+# thread on its SkylakeX, Haswell and Prescott kernels (Haswell: (227 x 9) @ (9 x 256) on one,
+# 228 rows on two), so no idle worker spins.  A gemv (one column) threads from about 4.6e5.
+_GEMM_MACS = 1 << 19
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SMALLEST_SUBNORMAL = float(np.nextafter(0.0, 1.0))
 # Least upper bound _nearest returns: with ub**2 * u >= 2 eta, fit_codebook's
@@ -209,7 +208,7 @@ def _nearest(
     lets :func:`fit_codebook`'s pruning test ignore underflow.
     """
     n, d = z.shape
-    rows = max(1, _BLOCK // k_t)
+    rows = max(1, (_GEMM_MACS - 1) // ((d + 1) * max(k_t, 2)))  # a K_t = 1 gemv: half the bound
     z1 = np.ones((min(n, rows), d + 1))
     zz = np.empty(n)
     tokens = np.empty(n, dtype=np.int64)

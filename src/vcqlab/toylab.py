@@ -35,6 +35,7 @@ from .generation import (
 from .quantizer import (
     FIT_FIELDS,
     FIT_RANGES,
+    _GEMM_MACS,
     Codebook,
     _mapped_empty,
     decode,
@@ -117,8 +118,6 @@ class Dataset:
 
 # images rendered together by generate_dataset
 _RENDER_BLOCK = 16
-# multiply-adds per encode or decode GEMM: OpenBLAS threads above 1e6, and idle workers then spin
-_ENCODE_BLOCK = 1 << 18
 # values per block of the squared reconstruction error; at least numpy's 128-value pairwise leaf
 _SUM_LEAF = 1 << 17
 
@@ -205,19 +204,19 @@ def _tile_patches(table: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.nda
 
 
 def _blocked_product(rows: np.ndarray, matrix: np.ndarray, center=0.0) -> np.ndarray:
-    """``(rows - center) @ matrix`` in row blocks of at most ``_ENCODE_BLOCK`` multiply-adds.
+    """``(rows - center) @ matrix`` in row blocks of fewer than ``_GEMM_MACS`` multiply-adds.
 
     ``rows`` is an (a, b, ...) stack of a * b rows, each the trailing axes,
     such as :func:`_patch_grid`'s view of an image stack: every block is
     centered into one reused buffer, so the whole row matrix is never made.
-    Power-of-two blocks start where the kernel's unrolled rows do, and the
-    last takes a lone final row (numpy would hand it to gemv): the one-shot
-    product's bits, on the calling thread.
+    Power-of-two blocks within half the bound start where the kernel's
+    unrolled rows do, and the last takes a lone final row (numpy would hand
+    it to gemv): the one-shot product's bits, on the calling thread.
     """
     b, tail = rows.shape[1], rows.shape[2:]
     m = len(rows) * b
     out = _mapped_empty((m, matrix.shape[1]))
-    step = max(1, _ENCODE_BLOCK >> (matrix.size - 1).bit_length())
+    step = max(1, (_GEMM_MACS >> 1) >> (matrix.size - 1).bit_length())
     bounds = [*range(0, max(m - 1, 1), step), m]
     buffer = np.empty((min(m, step + 1), *tail))
     for r0, r1 in zip(bounds, bounds[1:]):
@@ -285,6 +284,7 @@ def fit_encoder(images: np.ndarray, patch_size: int, d: int) -> LinearEncoder:
     np.copyto(patches.reshape(grid.shape), grid)
     mean = patches.mean(axis=0)
     patches -= mean
+    # one GEMM over all rows, whose bits a blocked sum would change: the one call above _GEMM_MACS
     cov = patches.T @ patches / max(1, rows - 1)
     _, vecs = np.linalg.eigh(cov)
     proj = vecs[:, ::-1][:, :d].copy()

@@ -1,8 +1,10 @@
 import mmap
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import BLAS_KERNELS, blas_spins
 
 from vcqlab import quantizer
 from vcqlab.corpus import TokenCorpus
@@ -448,6 +450,27 @@ class TestDecode:
 
 
 class TestFitCodebook:
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="BLAS runs one thread on one core")
+    def test_no_blas_worker_spins_after_fit_and_quantize(self):
+        # the experiment's arms at K_t up to 256, then 60,000 rows at K_t = 1,
+        # whose one-column scores numpy hands to gemv, which threads sooner
+        setup = (
+            "import numpy as np\n"
+            "from vcqlab.quantizer import Codebook, fit_codebook, quantize_batch\n"
+            "from vcqlab.schedule import Family, Schedule\n"
+            "from vcqlab.toylab import build_inputs, default_experiment_config, load_config\n"
+            "_, _, latents = build_inputs(load_config(default_experiment_config(0)))\n"
+            "lone = np.random.default_rng(0).normal(size=(60000, 3, 8))"
+        )
+        calls = (
+            "cb = fit_codebook(latents, Schedule(Family.CONSTANT, 256, 256, 64), 256, 8, epochs=2)",
+            "quantize_batch(latents, Schedule(Family.COSINE, 2, 256, 64), cb)",
+            "quantize_batch(lone, Schedule(Family.LINEAR, 1, 4, 3), Codebook(entries=lone[:4, 0]))",
+        )
+        for kernel in BLAS_KERNELS:
+            spins = blas_spins(kernel, setup, *calls)
+            assert max(spins) < 0.05, (kernel, spins)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_latents_refused_before_any_epoch(self, rng, bad):
@@ -587,8 +610,8 @@ class TestUtilization:
 
 # utilization_profile's row block at L = 256; it checks for saturated
 # positions after 1, 2, 4, ... blocks
-_BLOCK = 2**20 // 256
-_BOUNDARY_ROWS = [_BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK]
+_UTILIZATION_ROWS = 2**20 // 256
+_BOUNDARY_ROWS = [_UTILIZATION_ROWS - 1, _UTILIZATION_ROWS, 2 * _UTILIZATION_ROWS - 1, 2 * _UTILIZATION_ROWS]
 
 
 def _saturation_corpus(layout: str, seed: int = 0):
@@ -603,7 +626,7 @@ def _saturation_corpus(layout: str, seed: int = 0):
     block, so that later blocks mark a span of mostly saturated positions.
     """
     sched = Schedule(Family.LINEAR, 1, 64, 256)
-    n = 3 * _BLOCK + 100
+    n = 3 * _UTILIZATION_ROWS + 100
     rng = np.random.default_rng(seed)
     tokens = np.empty((n, sched.length), dtype=np.int64)
     for t, k in enumerate(codebook_sizes(sched)):

@@ -15,12 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import BLAS_KERNELS, blas_spins
 
 from vcqlab import toylab
-from vcqlab.quantizer import Codebook, _mapped_empty, decode, fit_codebook
+from vcqlab.quantizer import _GEMM_MACS, Codebook, _mapped_empty, decode, fit_codebook
 from vcqlab.schedule import Family, Schedule, codebook_sizes
 from vcqlab.toylab import (
-    _ENCODE_BLOCK,
     SyntheticSpec,
     build_inputs,
     default_experiment_config,
@@ -230,8 +230,8 @@ def default_inputs():
 
 
 def encode_block(encoder):
-    """Rows per encode GEMM: the largest power of two within _ENCODE_BLOCK multiply-adds."""
-    return max(1, _ENCODE_BLOCK >> (encoder.projection.size - 1).bit_length())
+    """Rows per encode GEMM: the largest power of two within half of _GEMM_MACS multiply-adds."""
+    return max(1, (_GEMM_MACS >> 1) >> (encoder.projection.size - 1).bit_length())
 
 
 class TestBlockedEncode:
@@ -276,11 +276,12 @@ class TestBlockedEncode:
         assert len(flat) > encode_block(enc)
         assert latents.tobytes() == ((flat - enc.mean) @ enc.projection).tobytes()
 
-    @pytest.mark.parametrize("block", [1, 64, 100, 1000, _ENCODE_BLOCK])
+    @pytest.mark.parametrize("block", [1, 64, 100, 1000, _GEMM_MACS >> 1])
     def test_images_equal_patches_of_the_extracted_matrix(self, rng, monkeypatch, block):
         # every block of encode_images is read from the patch grid, runs of g
-        # patches split at both ends whenever the block rows are not a multiple of g
-        monkeypatch.setattr(toylab, "_ENCODE_BLOCK", block)
+        # patches split at both ends whenever the block rows are not a multiple of g;
+        # a block takes up to half the bound's multiply-adds
+        monkeypatch.setattr(toylab, "_GEMM_MACS", 2 * block)
         for _ in range(12):
             patch, g = int(rng.integers(1, 5)), int(rng.integers(1, 7))
             n, dim = int(rng.integers(1, 40)), int(rng.integers(1, patch * patch + 1))
@@ -324,16 +325,18 @@ class TestBlockedEncode:
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="BLAS runs one thread on one core")
     def test_no_blas_worker_spins_after_encode_and_reconstruction(self):
-        dataset, enc, latents = default_inputs()
-        sched = Schedule(Family.CONSTANT, 256, 256, 64)
-        cb = Codebook(entries=latents.reshape(-1, enc.dim)[::500].astype(np.float32))
-        corpus = tokenize_dataset(latents, dataset.labels, sched, cb)
-        time.sleep(0.3)  # let the workers of an earlier test's product fall idle
-        enc.encode_images(dataset.images)
-        reconstruction_metrics(dataset.images, corpus.tokens, enc, cb)
-        cpu = time.process_time()
-        time.sleep(0.2)
-        assert time.process_time() - cpu < 0.05
+        setup = (
+            "import numpy as np\n"
+            "from vcqlab.quantizer import Codebook\n"
+            "from vcqlab.schedule import Family, Schedule\n"
+            "from vcqlab.toylab import build_inputs, default_experiment_config, load_config, reconstruction_metrics, tokenize_dataset\n"
+            "dataset, enc, latents = build_inputs(load_config(default_experiment_config(0)))\n"
+            "cb = Codebook(entries=latents.reshape(-1, enc.dim)[::500].astype(np.float32))\n"
+            "corpus = tokenize_dataset(latents, dataset.labels, Schedule(Family.CONSTANT, 256, 256, 64), cb)"
+        )
+        call = "enc.encode_images(dataset.images)\nreconstruction_metrics(dataset.images, corpus.tokens, enc, cb)"
+        for kernel in BLAS_KERNELS:
+            assert blas_spins(kernel, setup, call)[0] < 0.05, kernel
 
 
 class TestTokenizeDataset:
@@ -456,13 +459,20 @@ class TestReconstructionMetrics:
         assert tables[0].tobytes() == np.clip(enc.decode_patches(cb.entries), 0.0, 1.0).tobytes()
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="BLAS runs one thread on one core")
-    def test_no_blas_worker_spins_after_paper_sized_reconstruction(self, rng):
-        images, tokens, enc, cb = self.paper_sized_inputs(rng)
-        time.sleep(0.3)  # let the workers of an earlier test's product fall idle
-        reconstruction_metrics(images, tokens, enc, cb)
-        cpu = time.process_time()
-        time.sleep(0.2)
-        assert time.process_time() - cpu < 0.05
+    def test_no_blas_worker_spins_after_paper_sized_reconstruction(self):
+        # paper_sized_inputs(rng), in a fresh process
+        setup = (
+            "import numpy as np\n"
+            "from vcqlab.quantizer import Codebook\n"
+            "from vcqlab.toylab import fit_encoder, reconstruction_metrics\n"
+            "rng = np.random.default_rng(12345)\n"
+            "images = rng.uniform(size=(100, 32, 32))\n"
+            "enc = fit_encoder(images, patch_size=4, d=8)\n"
+            "cb = Codebook(entries=rng.normal(0.0, 0.5, size=(16384, 8)))\n"
+            "tokens = rng.integers(0, 16384, size=(100, 64))"
+        )
+        for kernel in BLAS_KERNELS:
+            assert blas_spins(kernel, setup, "reconstruction_metrics(images, tokens, enc, cb)")[0] < 0.05, kernel
 
     def test_default_dataset_equals_per_token_decode(self, rng):
         dataset, enc, latents = default_inputs()
