@@ -12,11 +12,11 @@ from .corpus import TokenCorpus, read_corpus, write_corpus
 from .entropy import (
     EntropyProfile,
     analyze,
-    chain_rule_check,
     cliff_position,
     conditional_entropy_profile,
     joint_entropy,
     prop1_bounds,
+    utilization_profile,
 )
 from .generation import (
     CountModel,
@@ -33,7 +33,6 @@ from .quantizer import (
     decode,
     fit_codebook,
     read_codebook,
-    utilization_profile,
     write_codebook,
 )
 from .schedule import (

@@ -167,11 +167,12 @@ def cmd_tstar(args) -> int:
         return _emit(args, out, lines)
     if args.datasets:
         try:
-            table = [(str(name), config_int(n, "N")) for name, n in json.loads(args.datasets)]
+            pairs = json.loads(args.datasets)
+            if not isinstance(pairs, list) or not pairs:
+                raise TypeError
+            table = [(str(name), config_int(n, "N")) for name, n in pairs]
         except (TypeError, ValueError, json.JSONDecodeError):
-            raise UsageError(
-                '--datasets expects a JSON list of [name, N] pairs'
-            ) from None
+            raise UsageError("--datasets expects a JSON list of [name, N] pairs") from None
     else:
         table = DATASET_TABLE
     # tstar_uniform checks N before math.log2 sees it

@@ -43,6 +43,7 @@ CORPUS_MAGIC = b"VCQT"
 CORPUS_VERSION = 1
 _HEADER = struct.Struct("<4sHHIQB")
 _FLAG_LABELS = 0x01
+_U16_MAX = 0xFFFF
 _U32_MAX = 0xFFFFFFFF
 # Bytes of <u4 token ids per block that read_corpus and write_corpus move
 _BLOCK_BYTES = 1 << 22
@@ -85,11 +86,12 @@ class TokenCorpus:
         if tokens.ndim != 2 or tokens.size == 0:
             raise ValueError(f"tokens must be a non-empty N x L matrix, got shape {tokens.shape}")
         dtype = token_dtype(self.k_max)
-        # checked before narrowing: a negative or too large id would wrap in the cast
-        low, high = tokens.min(), tokens.max()
-        if low < 0 or high >= self.k_max:
+        # checked before narrowing: a negative or too large id would wrap in the
+        # cast; an unsigned id cannot be negative, so its minimum is read for the message
+        high = tokens.max()
+        if (tokens.dtype.kind == "i" and tokens.min() < 0) or high >= self.k_max:
             raise ValueError(
-                f"token ids must lie in [0, {self.k_max}), found range [{low}, {high}]"
+                f"token ids must lie in [0, {self.k_max}), found range [{tokens.min()}, {high}]"
             )
         self.tokens = tokens.astype(dtype, copy=False)
         if self.labels is not None:
@@ -147,7 +149,7 @@ def write_corpus(corpus: TokenCorpus, path: str | Path) -> None:
     at most one block is converted at a time.
     """
     n, length = corpus.tokens.shape
-    if length > 0xFFFF:
+    if length > _U16_MAX:
         raise ValueError(f"sequence length {length} exceeds the u16 field")
     if corpus.k_max > _U32_MAX:
         raise ValueError(f"k_max {corpus.k_max} exceeds the u32 field")

@@ -7,19 +7,22 @@ next-token distribution within each prefix group:
 
     H(x_t | x_<t) = sum_p (n_p / N) * H(counts of x_t within group p)
 
-One refinement pass serves every measurement.  At position t it regroups
-the rows of each surviving prefix group by their next token, keyed by the
-1-D integer ``group_id * width + token`` with ``width`` one more than the
-largest token at t (sorted, that is (group, token) order).  Groups that
-become singletons contribute zero to every later position and are
+One refinement pass serves every entropy measurement.  At position t it
+regroups the rows of each surviving prefix group by their next token, keyed
+by the 1-D integer ``group_id * width + token`` with ``width`` one more
+than the largest token at t (sorted, that is (group, token) order).  Groups
+that become singletons contribute zero to every later position and are
 dropped, which keeps full-corpus analysis fast beyond the entropy cliff.
 Each position yields H(x_t | x_<t) and the prefix-joint entropy
 H(x_<t+1), which gives the exact bound; after the last position the
 surviving groups plus one count per dropped singleton are the full-row
 multiplicities, whose entropy is ``joint_bits``.  :func:`analyze` runs the
 pass once and takes Proposition 1's data-free bound from
-:func:`prop1_bounds`; :func:`joint_entropy` and :func:`chain_rule_check`
-keep an independent full-row ``np.unique`` as the oracle.
+:func:`prop1_bounds`; :func:`joint_entropy` keeps an independent full-row
+``np.unique`` as the oracle.  Utilization is the one separate scan of the
+corpus, and the one that stops at saturation: :func:`utilization_profile`
+marks the ids seen at each position one row block at a time, and stops
+counting a position once all K_t of its ids have been seen.
 
 Exactness: every term ``(c/n) * log2(c/n)`` uses ``math.log2`` (evaluated
 once per distinct ratio), and every sum is exactly rounded: ``math.fsum``,
@@ -42,9 +45,9 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import TokenCorpus, atomic_write
-from .quantizer import utilization_profile
 from .schedule import (
-    Family, Schedule, _remaining_bits, at_least, capacity_report, check_arg, check_fields
+    Family, Schedule, _remaining_bits, at_least, capacity_report, check_arg, check_corpus,
+    check_fields,
 )
 
 __all__ = [
@@ -53,7 +56,7 @@ __all__ = [
     "joint_entropy",
     "prop1_bounds",
     "cliff_position",
-    "chain_rule_check",
+    "utilization_profile",
     "analyze",
     "write_profile_csv",
     "profile_summary",
@@ -67,6 +70,9 @@ __all__ = [
 THRESHOLD_RANGE = (lambda v: 0 < v < math.inf, "finite and > 0")
 ANALYZE_FIELDS = {"cliff_threshold": "float"}
 ANALYZE_RANGES = {"cliff_threshold": THRESHOLD_RANGE}
+# Index cells that utilization_profile marks per row block: a block holds
+# this many ids, so its one reused index buffer takes 8 MB at most
+_UTILIZATION_CELLS = 1 << 20
 
 
 def refine_groups(gids: np.ndarray, column: np.ndarray, k: int):
@@ -252,17 +258,6 @@ def joint_entropy(corpus: TokenCorpus) -> float:
     return _counts_entropy(distinct, repeats, corpus.n_samples)
 
 
-def chain_rule_check(corpus: TokenCorpus) -> tuple[float, float, float]:
-    """(sum of conditional entropies, joint entropy, absolute difference).
-
-    Exact counting makes the chain rule an identity; the difference is pure
-    float rounding and stays below 1e-9 bits.
-    """
-    total = math.fsum(conditional_entropy_profile(corpus))
-    joint = joint_entropy(corpus)
-    return total, joint, abs(total - joint)
-
-
 def prop1_bounds(schedule: Schedule, n_samples: int) -> list[float]:
     """Proposition 1's data-free bound ``max(0, log2 N - i * log2 k_max)``.
 
@@ -291,6 +286,47 @@ def cliff_position(profile: list[float], threshold: float = 1.0) -> int:
         if h >= threshold:
             last = i
     return last + 1
+
+
+def utilization_profile(corpus: TokenCorpus, schedule: Schedule) -> list[float]:
+    """Fraction of the K_t candidate set observed at each position.
+
+    Raises if any observed token id reaches K_t: that means the corpus was
+    produced under a different schedule.  Every token is range-checked
+    (:func:`check_corpus`) before any is counted.
+
+    A position stops being counted once all K_t of its ids have been seen:
+    its fraction is then exactly 1.0 whatever the later rows hold.  After
+    every row block the positions still active are recounted, those that
+    have reached K_t are dropped, and the next block marks only the span
+    from the first to the last of the rest.
+    """
+    sizes, top = check_corpus(corpus, schedule)
+    tokens = corpus.tokens
+    n, length = tokens.shape
+    # mark every observed (t, token) in one mask with top[t] + 1 <= K_t cells
+    # for position t, starting at offsets[t], so the mask is bounded by the
+    # ids present, not by k_max
+    widths = top.astype(np.int64) + 1
+    offsets = np.concatenate(([0], np.cumsum(widths[:-1])))
+    seen = np.zeros(int(widths.sum()), dtype=bool)
+    block = max(1, _UTILIZATION_CELLS // length)
+    index = np.empty(block * length, dtype=np.intp)
+    counts = [0] * length
+    active = list(range(length))  # positions short of K_t ids
+    for start in range(0, n, block):
+        # re-marking a saturated position changes nothing, so the span is
+        # marked as a view even where it holds saturated positions
+        span = slice(active[0], active[-1] + 1)
+        rows = tokens[start : start + block, span]
+        seen[np.add(rows, offsets[span], out=index[: rows.size].reshape(rows.shape))] = True
+        # counted per position: a reduceat with an int64 total casts the whole mask
+        for t in active:
+            counts[t] = int(np.count_nonzero(seen[offsets[t] : offsets[t] + widths[t]]))
+        active = [t for t in active if counts[t] < sizes[t]]
+        if not active:
+            break
+    return [count / k_t for count, k_t in zip(counts, sizes)]
 
 
 @dataclass(frozen=True)

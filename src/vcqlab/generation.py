@@ -151,21 +151,24 @@ def apply_guidance(
     """(1 + s_t) * cond - s_t * uncond, preserving -inf mask entries.
 
     Entries masked in either input stay masked; all other entries must be
-    finite.
+    finite, and so must their guided values: an s_t that overflows one is
+    refused, naming ``policy.scale``, the base of every s_t.
     """
     c = np.asarray(logits_cond, dtype=np.float64)
     u = np.asarray(logits_uncond, dtype=np.float64)
     if c.shape != u.shape:
         raise ValueError(f"logit shapes differ: {c.shape} vs {u.shape}")
     masked = np.isneginf(c) | np.isneginf(u)
-    if not (np.all(np.isfinite(c) | masked) and np.all(np.isfinite(u) | masked)):
-        raise ValueError("unmasked logits must be finite")
-    # a masked entry may compute inf - inf; it is overwritten, and every
-    # unmasked entry is finite, so only masked entries can be invalid
-    with np.errstate(invalid="ignore"):
+    # a masked entry may compute inf - inf and is overwritten; an unmasked
+    # one that is not finite came from a bad input or an overflow, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
         out = (1.0 + s_t) * c
         out -= s_t * u
     out[masked] = MASK
+    if not np.all(np.isfinite(out) | masked):
+        if not (np.all(np.isfinite(c) | masked) and np.all(np.isfinite(u) | masked)):
+            raise ValueError("unmasked logits must be finite")
+        raise ValueError(f"policy.scale: guidance scale {s_t} overflows the guided logits")
     return out
 
 
@@ -243,6 +246,9 @@ def fit_counts(
     if schedule.k_max > corpus.k_max:
         raise ValueError(f"schedule k_max {schedule.k_max} exceeds corpus k_max {corpus.k_max}")
     sizes, _ = check_corpus(corpus, schedule)
+    # the unigram's Laplace mass alpha * K_t must be a float, or every probability is 0
+    if not math.isfinite(smoothing * max(sizes)):
+        raise ValueError(f"model.smoothing {smoothing} times K_t {max(sizes)} overflows float64")
     tokens, n = corpus.tokens, corpus.n_samples
     classes, class_index = np.unique(corpus.labels, return_inverse=True)
     n_scopes = len(classes) + 1
@@ -403,13 +409,6 @@ def _log2(probs: np.ndarray) -> np.ndarray:
         return np.log2(probs, out=probs)
 
 
-def _softmax_base2(values: np.ndarray) -> np.ndarray:
-    weights = values - values.max(axis=-1, keepdims=True)
-    np.exp2(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    return weights
-
-
 # Generator.choice's tolerance on the sum of a float64 probability vector
 _SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
@@ -443,8 +442,15 @@ def _sample_rows(
         if policy.temperature == 0.0:
             out[:, t] = np.argmax(guided, axis=1)
             continue
-        guided /= policy.temperature
-        p = _softmax_base2(guided)
+        # base-2 softmax in place: an entry that overflows to -inf weighs 0,
+        # as in the limit; a row whose largest entry overflows has no distribution
+        with np.errstate(over="ignore"):
+            guided /= policy.temperature
+            top = guided.max(axis=1, keepdims=True)
+            if not np.all(np.isfinite(top)):
+                raise ValueError(f"position {t}: policy.temperature {policy.temperature} overflows")
+            p = np.exp2(np.subtract(guided, top, out=guided), out=guided)
+        p /= p.sum(axis=1, keepdims=True)
         if not (np.all(p >= 0) and np.all(np.abs(p.sum(axis=1) - 1.0) <= _SUM_ATOL)):
             raise ValueError(f"position {t}: probabilities are negative or do not sum to 1")
         cdf = np.cumsum(p, axis=1)

@@ -24,7 +24,7 @@ from enum import Enum
 from numbers import Integral, Real
 from pathlib import Path
 
-from .corpus import atomic_write
+from .corpus import _U16_MAX, atomic_write
 
 __all__ = [
     "Family",
@@ -362,7 +362,8 @@ _FAMILIES = tuple(f.value for f in Family)
 SCHEDULE_RANGES = {
     "family": (lambda v: v in _FAMILIES, f"one of {_FAMILIES}"),
     "k_min": at_least(1),
-    "length": at_least(1),
+    # a .vcqt file stores the length in 16 bits (corpus.write_corpus)
+    "length": (lambda v: 1 <= v <= _U16_MAX, f">= 1 and <= {_U16_MAX}, the .vcqt u16 field"),
 }
 
 

@@ -98,6 +98,17 @@ class TestScheduleCommand:
         assert main(["schedule", "--preset", str(path)]) == 2
         assert capsys.readouterr().err == "data error: missing field schedule.k_max\n"
 
+    def test_length_is_bounded_by_the_corpus_u16_field(self, capsys, monkeypatch):
+        import vcqlab.cli
+
+        preset = {"family": "cosine", "k_min": 2, "k_max": 16384}
+        monkeypatch.setattr(vcqlab.cli, "capacity_report", lambda *args, **kw: pytest.fail("built"))
+        assert main(["schedule", "--preset", json.dumps({**preset, "length": 65536})]) == 2
+        assert "schedule.length must be >= 1 and <= 65535" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert main(["schedule", "--preset", json.dumps({**preset, "length": 65535}), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["length"] == 65535
+
     def test_csv_curve(self, tmp_path, capsys):
         csv_path = tmp_path / "curve.csv"
         assert main(["schedule", "--preset", "linear", "--csv", str(csv_path)]) == 0
@@ -156,6 +167,13 @@ class TestTstarCommand:
         assert "--datasets expects" in capsys.readouterr().err
         assert main(["tstar", "--datasets", '[["a", 4.0]]', "--k", "2", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["datasets"][0]["tstar"] == 2
+
+    @pytest.mark.parametrize("datasets", ["{}", "[]", '{"a": 3}', '"ab"', "5"])
+    def test_datasets_must_be_a_non_empty_list(self, capsys, datasets):
+        assert main(["tstar", "--datasets", datasets]) == 1
+        captured = capsys.readouterr()
+        assert "--datasets expects a JSON list of [name, N] pairs" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("n", ["0", "-5"])
     def test_dataset_sizes_below_one_name_n_samples(self, capsys, n):
@@ -373,6 +391,30 @@ class TestPipelineCommands:
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "gen.vcqt").exists()
 
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--policy", '{"scale": 1e308}'], "policy.scale: guidance scale 1e+308 overflows"),
+            (["--smoothing", "1e308"], "model.smoothing 1e+308 times K_t 4 overflows float64"),
+            (["--policy", '{"temperature": 1e-310}'], "policy.temperature 1e-310 overflows"),
+        ],
+        ids=["scale", "smoothing", "temperature"],
+    )
+    def test_float_extremes_name_their_input(self, tmp_path, capsys, options, message):
+        import numpy as np
+
+        from vcqlab.corpus import TokenCorpus, write_corpus
+
+        corpus = tmp_path / "train.vcqt"
+        write_corpus(TokenCorpus(tokens=np.array([[0, 1], [1, 0]]), k_max=4, labels=[0, 1]), corpus)
+        sched = '{"family": "constant", "k_min": 4, "k_max": 4, "length": 2}'
+        argv = ["generate", "--corpus", str(corpus), "--schedule", sched, "--policy", "{}",
+                "--n", "2", "--seed", "0", "--out", str(tmp_path / "gen.vcqt")] + options
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "gen.vcqt").exists()
 
     def test_inline_json_list_policy_is_not_a_path(self, tmp_path, capsys):
         import numpy as np

@@ -13,9 +13,9 @@ import pytest
 import vcqlab
 from vcqlab.cli import build_parser, main
 from vcqlab.corpus import CORPUS_MAGIC, TokenCorpus, atomic_write, read_corpus, write_corpus
-from vcqlab.entropy import analyze, refine_groups, write_profile_csv
+from vcqlab.entropy import analyze, refine_groups, utilization_profile, write_profile_csv
 from vcqlab.generation import GuidancePolicy, fit_counts, memorization_report, sample_corpus
-from vcqlab.quantizer import Codebook, decode, read_codebook, utilization_profile, write_codebook
+from vcqlab.quantizer import Codebook, decode, read_codebook, write_codebook
 from vcqlab.schedule import (
     SCHEDULE_PRESETS,
     Schedule,
@@ -36,6 +36,15 @@ class TestTokenCorpus:
             TokenCorpus(tokens=np.array([[0, 8]]), k_max=8)
         with pytest.raises(ValueError, match="token ids"):
             TokenCorpus(tokens=np.array([[-1, 0]]), k_max=8)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_out_of_range_message_is_the_same_for_every_dtype(self, dtype):
+        # an unsigned id's minimum is read only for the message
+        with pytest.raises(ValueError, match=r"found range \[3, 9\]"):
+            TokenCorpus(tokens=np.array([[3, 9]], dtype=dtype), k_max=8)
+        if np.dtype(dtype).kind == "i":
+            with pytest.raises(ValueError, match=r"found range \[-1, 0\]"):
+                TokenCorpus(tokens=np.array([[-1, 0]], dtype=dtype), k_max=8)
 
     def test_rejects_bad_label_count(self):
         with pytest.raises(ValueError, match="labels"):

@@ -10,13 +10,13 @@ import vcqlab.entropy
 from vcqlab.corpus import TokenCorpus
 from vcqlab.entropy import (
     analyze,
-    chain_rule_check,
     cliff_position,
     conditional_entropy_profile,
     joint_entropy,
     profile_summary,
     prop1_bounds,
     refine_groups,
+    utilization_profile,
     write_profile_csv,
 )
 from vcqlab.generation import memorization_report
@@ -126,13 +126,12 @@ class TestChainRule:
             corpus = random_corpus(
                 (seed, 7), int(rng.integers(2, 1000)), int(rng.integers(1, 16)), int(rng.integers(2, 32))
             )
-            total, joint, diff = chain_rule_check(corpus)
-            assert diff < 1e-9
+            assert abs(math.fsum(analyze(corpus).conditional_bits) - joint_entropy(corpus)) < 1e-9
 
     def test_all_distinct_equals_log2_n(self):
         tokens = np.arange(16).reshape(16, 1)
         corpus = TokenCorpus(tokens=tokens, k_max=16)
-        total, joint, diff = chain_rule_check(corpus)
+        total, joint = math.fsum(analyze(corpus).conditional_bits), joint_entropy(corpus)
         assert total == pytest.approx(4.0, abs=1e-12)
         assert joint == pytest.approx(4.0, abs=1e-12)
 
@@ -257,6 +256,153 @@ class TestAnalyze:
         summary = profile_summary(profile)
         assert summary["cliff_position"] == profile.cliff_position
         assert summary["joint_bits"] == profile.joint_bits
+
+
+class TestUtilization:
+    def test_all_zero_corpus(self):
+        corpus = TokenCorpus(tokens=np.zeros((10, 4), dtype=int), k_max=16)
+        sched = Schedule(Family.CONSTANT, 16, 16, 4)
+        assert utilization_profile(corpus, sched) == [1 / 16] * 4
+
+    def test_full_utilization_at_position_zero(self):
+        tokens = np.array([[0, 0], [1, 0]])
+        corpus = TokenCorpus(tokens=tokens, k_max=2)
+        sched = Schedule(Family.CONSTANT, 2, 2, 2)
+        prof = utilization_profile(corpus, sched)
+        assert prof[0] == 1.0 and prof[1] == 0.5
+
+    def test_matches_naive_distinct_count(self, rng):
+        sched = Schedule(Family.COSINE, 2, 32, 12)
+        sizes = codebook_sizes(sched)
+        tokens = np.stack(
+            [rng.integers(0, k, size=40) for k in sizes], axis=1
+        )
+        corpus = TokenCorpus(tokens=tokens, k_max=32)
+        prof = utilization_profile(corpus, sched)
+        for t in range(12):
+            naive = len({int(x) for x in tokens[:, t]}) / sizes[t]
+            assert prof[t] == naive
+            assert 0.0 <= prof[t] <= 1.0
+
+    def test_schedule_mismatch_is_hard_failure(self):
+        corpus = TokenCorpus(tokens=np.array([[3, 3]]), k_max=4)
+        sched = Schedule(Family.CONSTANT, 2, 2, 2)
+        with pytest.raises(ValueError, match="does not match this schedule"):
+            utilization_profile(corpus, sched)
+
+    @pytest.mark.parametrize("layout", ["interleaved", "sparse"])
+    @pytest.mark.parametrize("k_max", [64, 300, 70_000])  # uint8, uint16, uint32 ids
+    def test_saturation_exit_matches_naive(self, layout, k_max):
+        tokens, sched = _saturation_corpus(layout)
+        corpus = TokenCorpus(tokens=tokens, k_max=k_max)
+        assert corpus.tokens.dtype == {64: np.uint8, 300: np.uint16, 70_000: np.uint32}[k_max]
+        sizes = codebook_sizes(sched)
+        naive = [len(np.unique(tokens[:, t])) / sizes[t] for t in range(sched.length)]
+        assert utilization_profile(corpus, sched) == naive
+        assert sizes[0] == 1 and naive[0] == 1.0  # a K_t = 1 position
+        assert 1.0 in naive and any(u < 1.0 for u in naive)
+
+    def test_single_row(self):
+        sched = Schedule(Family.LINEAR, 1, 64, 256)
+        sizes = codebook_sizes(sched)
+        tokens = np.array([[np.random.default_rng(3).integers(k) for k in sizes]])
+        corpus = TokenCorpus(tokens=tokens, k_max=64)
+        assert utilization_profile(corpus, sched) == [1 / k for k in sizes]
+
+    @pytest.mark.parametrize("layout", ["interleaved", "sparse"])
+    def test_bad_token_after_saturation_still_raises(self, layout):
+        # position 4 holds both of its K_t = 2 ids within the first block
+        tokens, sched = _saturation_corpus(layout)
+        assert codebook_sizes(sched)[4] == 2
+        tokens[-1, 4] = 2
+        corpus = TokenCorpus(tokens=tokens, k_max=64)
+        for measure in (utilization_profile, analyze):
+            with pytest.raises(ValueError, match="position 4: token 2 >= K_t 2"):
+                measure(corpus, sched)
+
+
+# utilization_profile's row block at L = 256; it recounts the positions
+# still short of K_t after every block
+_UTILIZATION_ROWS = vcqlab.entropy._UTILIZATION_CELLS // 256
+_BOUNDARY_ROWS = [_UTILIZATION_ROWS - 1, _UTILIZATION_ROWS, 2 * _UTILIZATION_ROWS - 1, 2 * _UTILIZATION_ROWS]
+
+
+def _saturation_corpus(layout: str, seed: int = 0):
+    """Tokens of more than three row blocks at L = 256 under a linear 1 -> 64
+    schedule, and the schedule.
+
+    Each position is of one kind.  "first": all K_t ids within the first
+    block.  "boundary": the last id first appears on a row next to a block
+    boundary.  "last": the last id appears on the last row only.  "never":
+    the last id never appears.  ``interleaved`` cycles through the kinds;
+    ``sparse`` leaves only three positions short of K_t after the first
+    block, so that later blocks mark a span of mostly saturated positions.
+    """
+    sched = Schedule(Family.LINEAR, 1, 64, 256)
+    n = 3 * _UTILIZATION_ROWS + 100
+    rng = np.random.default_rng(seed)
+    tokens = np.empty((n, sched.length), dtype=np.int64)
+    for t, k in enumerate(codebook_sizes(sched)):
+        if layout == "interleaved":
+            kind = ("first", "boundary", "last", "never")[t % 4]
+        else:
+            kind = {5: "last", 128: "never", 250: "boundary"}.get(t, "first")
+        if kind == "first" or k == 1:
+            column = rng.integers(0, k, size=n)
+            column[:k] = rng.permutation(k)
+        else:
+            column = rng.integers(0, k - 1, size=n)
+            column[: k - 1] = np.arange(k - 1)
+            if kind == "boundary":
+                column[_BOUNDARY_ROWS[(t // 4) % 4]] = k - 1
+            elif kind == "last":
+                column[-1] = k - 1
+        tokens[:, t] = column
+    return tokens, sched
+
+def test_utilization_equals_unique_oracle_with_small_row_blocks(monkeypatch):
+    # a row block of a few rows, and each position's last id first seen in
+    # the first block, in a middle block, in the last block or never
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        family = data.draw(st.sampled_from([Family.LINEAR, Family.COSINE]))
+        k_max = data.draw(st.integers(1, 5))
+        sched = Schedule(family, data.draw(st.integers(1, k_max)), k_max, data.draw(st.integers(2, 8)))
+        sizes = codebook_sizes(sched)
+        block = data.draw(st.integers(k_max, k_max + 2))
+        n_blocks = data.draw(st.integers(3, 5))
+        n = (n_blocks - 1) * block + data.draw(st.integers(1, block))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        tokens = np.empty((n, sched.length), dtype=np.int64)
+        full_at = []  # the row on which each position has seen all K_t ids
+        for t, k in enumerate(sizes):
+            kind = data.draw(st.sampled_from(["first", "middle", "last", "never"]))
+            if kind == "never" or k == 1:
+                tokens[:, t] = rng.integers(0, max(k - 1, 1), size=n)
+                full_at.append(0 if k == 1 else None)
+                continue
+            first = {"first": 0, "middle": int(rng.integers(1, n_blocks - 1)), "last": n_blocks - 1}
+            lo = max(first.get(kind, 0) * block, k - 1)
+            row = int(rng.integers(lo, min(lo // block * block + block, n)))
+            column = rng.integers(0, k, size=n)
+            column[:row] = rng.integers(0, k - 1, size=row)
+            column[rng.choice(row, size=k - 1, replace=False)] = np.arange(k - 1)
+            column[row] = k - 1
+            tokens[:, t] = column
+            full_at.append(row)
+        for t, k in enumerate(sizes):
+            seen = [np.unique(tokens[: r + 1, t]).size for r in range(n)]
+            assert (seen.index(k) if k in seen else None) == full_at[t]
+        monkeypatch.setattr(vcqlab.entropy, "_UTILIZATION_CELLS", block * sched.length)
+        corpus = TokenCorpus(tokens=tokens, k_max=k_max)
+        naive = [np.unique(tokens[:, t]).size / k for t, k in enumerate(sizes)]
+        assert utilization_profile(corpus, sched) == naive
+
+    check()
 
 
 def oracle_prefix_entropy(tokens, t):
@@ -620,9 +766,9 @@ def test_chain_rule_property():
     )
     def check(rows):
         corpus = TokenCorpus(tokens=np.array(rows), k_max=4)
-        total, joint, gap = chain_rule_check(corpus)
-        assert gap < 1e-9
         profile = analyze(corpus)
+        joint = joint_entropy(corpus)
+        assert abs(math.fsum(profile.conditional_bits) - joint) < 1e-9
         assert repr(profile.joint_bits) == repr(joint)
         assert abs(math.fsum(profile.conditional_bits) - profile.joint_bits) < 1e-9
 

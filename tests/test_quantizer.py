@@ -7,8 +7,6 @@ import pytest
 from conftest import BLAS_KERNELS, blas_spins
 
 from vcqlab import quantizer
-from vcqlab.corpus import TokenCorpus
-from vcqlab.entropy import analyze
 from vcqlab.quantizer import (
     CODEBOOK_MAGIC,
     Codebook,
@@ -16,7 +14,6 @@ from vcqlab.quantizer import (
     fit_codebook,
     quantize_batch,
     read_codebook,
-    utilization_profile,
     write_codebook,
 )
 from vcqlab.schedule import Family, Schedule, codebook_sizes
@@ -543,109 +540,6 @@ class TestFitCodebook:
         sizes = codebook_sizes(sched)
         for t in range(16):
             assert tokens[:, t].max() < sizes[t]
-
-
-class TestUtilization:
-    def test_all_zero_corpus(self):
-        corpus = TokenCorpus(tokens=np.zeros((10, 4), dtype=int), k_max=16)
-        sched = Schedule(Family.CONSTANT, 16, 16, 4)
-        assert utilization_profile(corpus, sched) == [1 / 16] * 4
-
-    def test_full_utilization_at_position_zero(self):
-        tokens = np.array([[0, 0], [1, 0]])
-        corpus = TokenCorpus(tokens=tokens, k_max=2)
-        sched = Schedule(Family.CONSTANT, 2, 2, 2)
-        prof = utilization_profile(corpus, sched)
-        assert prof[0] == 1.0 and prof[1] == 0.5
-
-    def test_matches_naive_distinct_count(self, rng):
-        sched = Schedule(Family.COSINE, 2, 32, 12)
-        sizes = codebook_sizes(sched)
-        tokens = np.stack(
-            [rng.integers(0, k, size=40) for k in sizes], axis=1
-        )
-        corpus = TokenCorpus(tokens=tokens, k_max=32)
-        prof = utilization_profile(corpus, sched)
-        for t in range(12):
-            naive = len({int(x) for x in tokens[:, t]}) / sizes[t]
-            assert prof[t] == naive
-            assert 0.0 <= prof[t] <= 1.0
-
-    def test_schedule_mismatch_is_hard_failure(self):
-        corpus = TokenCorpus(tokens=np.array([[3, 3]]), k_max=4)
-        sched = Schedule(Family.CONSTANT, 2, 2, 2)
-        with pytest.raises(ValueError, match="does not match this schedule"):
-            utilization_profile(corpus, sched)
-
-    @pytest.mark.parametrize("layout", ["interleaved", "sparse"])
-    @pytest.mark.parametrize("k_max", [64, 300, 70_000])  # uint8, uint16, uint32 ids
-    def test_saturation_exit_matches_naive(self, layout, k_max):
-        tokens, sched = _saturation_corpus(layout)
-        corpus = TokenCorpus(tokens=tokens, k_max=k_max)
-        assert corpus.tokens.dtype == {64: np.uint8, 300: np.uint16, 70_000: np.uint32}[k_max]
-        sizes = codebook_sizes(sched)
-        naive = [len(np.unique(tokens[:, t])) / sizes[t] for t in range(sched.length)]
-        assert utilization_profile(corpus, sched) == naive
-        assert sizes[0] == 1 and naive[0] == 1.0  # a K_t = 1 position
-        assert 1.0 in naive and any(u < 1.0 for u in naive)
-
-    def test_single_row(self):
-        sched = Schedule(Family.LINEAR, 1, 64, 256)
-        sizes = codebook_sizes(sched)
-        tokens = np.array([[np.random.default_rng(3).integers(k) for k in sizes]])
-        corpus = TokenCorpus(tokens=tokens, k_max=64)
-        assert utilization_profile(corpus, sched) == [1 / k for k in sizes]
-
-    @pytest.mark.parametrize("layout", ["interleaved", "sparse"])
-    def test_bad_token_after_saturation_still_raises(self, layout):
-        # position 4 holds both of its K_t = 2 ids within the first block
-        tokens, sched = _saturation_corpus(layout)
-        assert codebook_sizes(sched)[4] == 2
-        tokens[-1, 4] = 2
-        corpus = TokenCorpus(tokens=tokens, k_max=64)
-        for measure in (utilization_profile, analyze):
-            with pytest.raises(ValueError, match="position 4: token 2 >= K_t 2"):
-                measure(corpus, sched)
-
-
-# utilization_profile's row block at L = 256; it checks for saturated
-# positions after 1, 2, 4, ... blocks
-_UTILIZATION_ROWS = 2**20 // 256
-_BOUNDARY_ROWS = [_UTILIZATION_ROWS - 1, _UTILIZATION_ROWS, 2 * _UTILIZATION_ROWS - 1, 2 * _UTILIZATION_ROWS]
-
-
-def _saturation_corpus(layout: str, seed: int = 0):
-    """Tokens of more than three row blocks at L = 256 under a linear 1 -> 64
-    schedule, and the schedule.
-
-    Each position is of one kind.  "first": all K_t ids within the first
-    block.  "boundary": the last id first appears on a row next to a block
-    boundary.  "last": the last id appears on the last row only.  "never":
-    the last id never appears.  ``interleaved`` cycles through the kinds;
-    ``sparse`` leaves only three positions short of K_t after the first
-    block, so that later blocks mark a span of mostly saturated positions.
-    """
-    sched = Schedule(Family.LINEAR, 1, 64, 256)
-    n = 3 * _UTILIZATION_ROWS + 100
-    rng = np.random.default_rng(seed)
-    tokens = np.empty((n, sched.length), dtype=np.int64)
-    for t, k in enumerate(codebook_sizes(sched)):
-        if layout == "interleaved":
-            kind = ("first", "boundary", "last", "never")[t % 4]
-        else:
-            kind = {5: "last", 128: "never", 250: "boundary"}.get(t, "first")
-        if kind == "first" or k == 1:
-            column = rng.integers(0, k, size=n)
-            column[:k] = rng.permutation(k)
-        else:
-            column = rng.integers(0, k - 1, size=n)
-            column[: k - 1] = np.arange(k - 1)
-            if kind == "boundary":
-                column[_BOUNDARY_ROWS[(t // 4) % 4]] = k - 1
-            elif kind == "last":
-                column[-1] = k - 1
-        tokens[:, t] = column
-    return tokens, sched
 
 
 class TestCodebookFile:
